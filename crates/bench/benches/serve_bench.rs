@@ -37,19 +37,22 @@
 //! fan-out and wire cost.
 //!
 //! The `scorer/risk_of_100k` entry times in-process `/pipe` point lookups
-//! against the 100k-pipe table — the binary-searched id→rank index built
-//! at snapshot load.
+//! against the 100k-pipe table — a binary search over the snapshot's
+//! sorted id→rank index columns.
 //!
 //! The `serve/mmap/{cold_start,reload}/*` and `serve/heap/cold_start/*`
 //! entries come from the snapshot-loading harness (see [`mmap_load`]):
-//! the zero-copy v2 mmap loader vs the v1 heap parse across a size sweep,
-//! plus the watcher-shaped load-and-swap reload.
+//! the zero-copy v2 mmap loader vs the v1 load (parse, re-encode as v2
+//! into an owned buffer, validate) across a size sweep, plus the
+//! watcher-shaped load-and-swap reload.
 //!
-//! The `serve/{epoll,threaded}/open_loop/*` entries come from the
-//! open-loop Poisson load generator (see [`open_loop`]): a concurrency
-//! sweep comparing the epoll event-loop core against the
-//! thread-per-connection core at a fixed offered rate, recording
-//! coordinated-omission-free latency percentiles per point.
+//! The `serve/epoll/open_loop/*` entries come from the open-loop Poisson
+//! load generator (see [`open_loop`]): a concurrency sweep against the
+//! epoll event-loop core at a fixed offered rate, recording
+//! coordinated-omission-free latency percentiles per point. (The
+//! `serve/threaded/open_loop/*` entries already in `BENCH_perf.json` are
+//! history from the thread-per-connection core this crate no longer
+//! ships.)
 //!
 //! A custom `main` appends every measurement to the `BENCH_perf.json`
 //! trajectory.
@@ -100,7 +103,7 @@ fn bench_snapshot(n: u32) -> Snapshot {
 }
 
 fn scorer(n: u32) -> Scorer {
-    Scorer::new(bench_snapshot(n))
+    Scorer::new(bench_snapshot(n)).expect("valid snapshot")
 }
 
 /// One regional shard holding `n` of the `TOTAL_PIPES` scores: shard `s`
@@ -117,7 +120,7 @@ fn shard_scorer(s: u32, n: u32) -> Scorer {
     );
     let mut snap = Snapshot::new("DPMHBP", format!("Shard {s}"), 7, &ranking);
     push_attributes(&mut snap, n);
-    Scorer::new(snap)
+    Scorer::new(snap).expect("valid snapshot")
 }
 
 /// Read exactly one `Content-Length`-framed response off the stream.
@@ -675,7 +678,7 @@ criterion_group!(
 );
 
 /// Open-loop load generation: Poisson arrivals at a fixed offered rate,
-/// swept across connection counts, against both connection cores.
+/// swept across connection counts.
 ///
 /// Open-loop means request *arrival times* are scheduled up front from the
 /// target rate and latency is measured from the **scheduled** arrival, not
@@ -695,12 +698,12 @@ criterion_group!(
 /// 1s. `PIPEFAIL_LOADTEST_ONLY=1` skips the criterion groups so CI can run
 /// just this harness.
 ///
-/// Each point yields `serve/{core}/open_loop/c{N}/{p50,p95,p99,p999}`
+/// Each point yields `serve/epoll/open_loop/c{N}/{p50,p95,p99,p999}`
 /// trajectory entries (ns per request) plus an `…/errors` entry, and one
-/// greppable `LOADTEST core=… conns=… p99_us=…` stdout line.
+/// greppable `LOADTEST core=epoll conns=… errors=… p99_us=…` stdout line.
 ///
-/// After the core-vs-core sweep (which runs with the result cache OFF so
-/// its meaning is unchanged), the harness re-runs the largest swept point
+/// After the sweep (which runs with the result cache OFF so it measures
+/// compute), the harness re-runs the largest swept point
 /// twice over a **skewed** key mix — 90% one hot key, 10% a warm tail —
 /// with the cache off and on, yielding
 /// `serve/cache/{off,on}/open_loop/c{N}/…` entries and
@@ -708,7 +711,7 @@ criterion_group!(
 mod open_loop {
     use super::{scorer, ServeContext, ServerConfig};
     use criterion::BenchRecord;
-    use pipefail_serve::{serve, HttpCore};
+    use pipefail_serve::serve;
     use std::io::{ErrorKind, Read, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::sync::{Arc, Barrier};
@@ -754,7 +757,6 @@ mod open_loop {
     }
 
     struct Point {
-        core: &'static str,
         conns: usize,
         rps: f64,
         secs: f64,
@@ -779,9 +781,9 @@ mod open_loop {
         }
     }
 
-    /// Exponential inter-arrivals at `rps` until `secs` — one shared
-    /// schedule per sweep point, reused for both cores so the comparison
-    /// is paired.
+    /// Exponential inter-arrivals at `rps` until `secs` — one schedule per
+    /// connection count, reused by the cache-off and cache-on runs so that
+    /// comparison is paired.
     fn poisson_schedule(rps: f64, secs: f64, seed: u64) -> Vec<Duration> {
         let mut rng = SplitMix(seed);
         let mut t = 0.0f64;
@@ -896,11 +898,8 @@ mod open_loop {
         out
     }
 
-    /// Run one `(core, conns)` sweep point against a fresh server.
-    #[allow(clippy::too_many_arguments)] // flat sweep-point config, called from one place
+    /// Run one sweep point against a fresh server.
     fn run_point(
-        core_name: &'static str,
-        core: HttpCore,
         conns: usize,
         rps: f64,
         secs: f64,
@@ -909,11 +908,10 @@ mod open_loop {
         requests: Arc<Vec<String>>,
     ) -> Point {
         let config = ServerConfig {
-            core,
             // The sweep measures raw concurrency: admission off, keep-alive
-            // uncapped, a fixed worker pool so both cores score identically.
-            // The result cache is off for the core-vs-core baseline and
-            // swept explicitly by the cache comparison.
+            // uncapped, a fixed worker pool so every host scores alike.
+            // The result cache is off for the sweep and swept explicitly by
+            // the cache comparison.
             keepalive_requests: 0,
             max_connections: 0,
             max_inflight: 0,
@@ -924,7 +922,8 @@ mod open_loop {
         let handle = serve(Arc::new(ServeContext::new(scorer(pipes))), &config).expect("server");
         let addr = handle.addr();
 
-        // Same seed per conns-point for both cores: paired arrivals.
+        // Same seed per conns-point: cache-off and cache-on see paired
+        // arrivals.
         let schedule = poisson_schedule(rps, secs, 0x70_69_70_65 ^ conns as u64);
         let mut slices: Vec<Vec<Duration>> = vec![Vec::new(); conns];
         for (i, &at) in schedule.iter().enumerate() {
@@ -961,7 +960,7 @@ mod open_loop {
         let errors = results.iter().filter(|(_, e)| *e).count() as u64;
         let mut latencies_us: Vec<u64> = results.into_iter().map(|(us, _)| us).collect();
         latencies_us.sort_unstable();
-        Point { core: core_name, conns, rps, secs, latencies_us, errors }
+        Point { conns, rps, secs, latencies_us, errors }
     }
 
     fn percentile_us(sorted: &[u64], q: f64) -> u64 {
@@ -976,9 +975,8 @@ mod open_loop {
         std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
     }
 
-    /// The full sweep: every connection count against both cores (epoll
-    /// first; non-Linux hosts only have the threaded core). Returns
-    /// trajectory records ready to append to the bench snapshot.
+    /// The full sweep: every connection count, then the cache comparison.
+    /// Returns trajectory records ready to append to the bench snapshot.
     pub fn run() -> Vec<BenchRecord> {
         let smoke = criterion::smoke_mode();
         let conns_default = if smoke { "64,256" } else { "64,256,1024,4096" };
@@ -990,12 +988,6 @@ mod open_loop {
             .collect();
         let rps: f64 = env_or("PIPEFAIL_LOADTEST_RPS", if smoke { 200.0 } else { 500.0 });
         let secs: f64 = env_or("PIPEFAIL_LOADTEST_SECS", if smoke { 1.0 } else { 5.0 });
-
-        let mut cores: Vec<(&'static str, HttpCore)> = Vec::new();
-        if cfg!(target_os = "linux") {
-            cores.push(("epoll", HttpCore::Epoll));
-        }
-        cores.push(("threaded", HttpCore::Threads));
 
         let hot = Arc::new(vec![request_line(PATH)]);
         let mut records = Vec::new();
@@ -1011,9 +1003,9 @@ mod open_loop {
                 percentile_us(&point.latencies_us, 0.999),
             );
             println!(
-                "LOADTEST core={}{} conns={} rps={} secs={} requests={} errors={} \
+                "LOADTEST core=epoll{} conns={} rps={} secs={} requests={} errors={} \
                  p50_us={p50} p95_us={p95} p99_us={p99} p999_us={p999}",
-                point.core, line_tag, point.conns, point.rps, point.secs, total, point.errors,
+                line_tag, point.conns, point.rps, point.secs, total, point.errors,
             );
             for (tag, us) in [("p50", p50), ("p95", p95), ("p99", p99), ("p999", p999)] {
                 records.push(BenchRecord {
@@ -1030,20 +1022,16 @@ mod open_loop {
         };
 
         for &n in &conns {
-            for &(name, core) in &cores {
-                let point = run_point(name, core, n, rps, secs, false, 1000, Arc::clone(&hot));
-                let prefix = format!("serve/{}/open_loop/c{}", point.core, point.conns);
-                push_point(&mut records, &point, prefix, String::new());
-            }
+            let point = run_point(n, rps, secs, false, 1000, Arc::clone(&hot));
+            let prefix = format!("serve/epoll/open_loop/c{}", point.conns);
+            push_point(&mut records, &point, prefix, String::new());
         }
 
-        // Cache-on vs cache-off on the platform's primary core, over the
-        // skewed key mix: the cache's open-loop win is the hot key's
-        // render cost disappearing from the tail percentiles. The
-        // comparison point is c1024 when swept — at the very top of the
-        // sweep (c4096 on a small host) client-scheduler noise drowns
-        // the pairing — else the largest swept point.
-        let &(name, core) = cores.first().expect("at least one core");
+        // Cache-on vs cache-off over the skewed key mix: the cache's
+        // open-loop win is the hot key's render cost disappearing from the
+        // tail percentiles. The comparison point is c1024 when swept — at
+        // the very top of the sweep (c4096 on a small host) client-scheduler
+        // noise drowns the pairing — else the largest swept point.
         let cache_conns = conns
             .iter()
             .copied()
@@ -1053,7 +1041,7 @@ mod open_loop {
         let skewed = Arc::new(skewed_requests());
         for (label, cache) in [("off", false), ("on", true)] {
             let point =
-                run_point(name, core, cache_conns, rps, secs, cache, super::TOTAL_PIPES, Arc::clone(&skewed));
+                run_point(cache_conns, rps, secs, cache, super::TOTAL_PIPES, Arc::clone(&skewed));
             let prefix = format!("serve/cache/{label}/open_loop/c{}", point.conns);
             push_point(&mut records, &point, prefix, format!(" cache={label}"));
         }
@@ -1061,14 +1049,15 @@ mod open_loop {
     }
 }
 
-/// Snapshot-loading harness: v2 **mmap** cold start vs the v1 **heap**
-/// parse, plus mmap hot-reload (load the replacement + swap the served
-/// `Arc`, exactly the watcher's work), across a size sweep.
+/// Snapshot-loading harness: v2 **mmap** cold start vs the v1 load (held
+/// on the heap as an owned v2 copy), plus mmap hot-reload (load the
+/// replacement + swap the served `Arc`, exactly the watcher's work),
+/// across a size sweep.
 ///
-/// Both loaders run the same strict one-pass integrity validation; the
-/// mmap path's win is everything *besides* the scan — no file copy into a
-/// Vec, no per-entry parse, no entry/index allocation, no section decode —
-/// so the delta grows with snapshot size and the bench pins it.
+/// Both loaders end in the same strict one-pass v2 validation; the mmap
+/// path's win is everything *besides* the scan — no file copy into a Vec,
+/// no per-entry parse, no v2 re-encode with its index sort — so the delta
+/// grows with snapshot size and the bench pins it.
 ///
 /// Each size yields `serve/mmap/{cold_start,reload}/<n>_pipes` and
 /// `serve/heap/cold_start/<n>_pipes` trajectory entries plus one greppable
@@ -1120,11 +1109,11 @@ mod mmap_load {
             // validation pass both loaders share.
             let v2_cold_ns = median_ns(reps, || {
                 let s = Scorer::load(&v2).expect("v2 mmap load");
-                assert!(s.mapped() || !cfg!(target_endian = "little"));
+                assert!(s.mapped());
                 black_box(s.len());
             });
             let v1_heap_ns = median_ns(reps, || {
-                let s = Scorer::load(&v1).expect("v1 heap load");
+                let s = Scorer::load(&v1).expect("v1 load");
                 black_box(s.len());
             });
 

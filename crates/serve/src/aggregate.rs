@@ -1353,7 +1353,7 @@ mod tests {
             (0..n).map(|i| f64::from(i % 9)).collect(),
             (0..n).map(|i| f64::from(1900 + (i % 12) * 10)).collect(),
         ));
-        Scorer::new(snap)
+        Scorer::new(snap).expect("valid snapshot")
     }
 
     fn spec_json(json: &str) -> AggregateSpec {
@@ -1471,7 +1471,7 @@ mod tests {
                 .map(|i| RiskScore { pipe: PipeId(i), score: 1.0 - f64::from(i) / 10.0 })
                 .collect(),
         );
-        let s = Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking));
+        let s = Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking)).expect("valid snapshot");
         let spec = spec_json(
             r#"{"group_by":["region"],"aggregates":[{"op":"count"},{"op":"max","field":"risk"}]}"#,
         );
@@ -1526,7 +1526,7 @@ mod tests {
             vec![0.0, 0.0, 1.0, 1.0],
             vec![1950.0, 1950.0, 1960.0, 1960.0],
         ));
-        let s = Scorer::new(snap);
+        let s = Scorer::new(snap).expect("valid snapshot");
         let spec = spec_json(
             r#"{"group_by":["region"],"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"}],"budget":{"length_m":30}}"#,
         );
@@ -1744,7 +1744,7 @@ mod tests {
                     (0..n).map(|i| f64::from(i % 9)).collect(),
                     (0..n).map(|i| f64::from(1900 + (i % 12) * 10)).collect(),
                 ));
-                Scorer::new(snap)
+                Scorer::new(snap).expect("valid snapshot")
             };
             let shards: Vec<Scorer> = sizes
                 .iter()

@@ -4,7 +4,7 @@
 //! every `/top`, `/pipe`, and `/aggregate` answer is a pure function of
 //! `(epoch, normalized query)`. [`CachingHandler`] wraps either router
 //! ([`crate::http::LocalRouter`] or the federation front-end) behind the
-//! shared [`RequestHandler`] seam, so both connection cores get caching,
+//! shared [`RequestHandler`] seam, so the connection core gets caching,
 //! `ETag`/`304` revalidation, and `HEAD` synthesis without knowing it
 //! exists.
 //!
@@ -40,8 +40,8 @@
 //! nothing.
 //!
 //! Hits rebuild a [`Response`] around the shared `Arc<str>` body — no
-//! body copy, no header vector — and both connection cores render it
-//! into a pooled frame buffer, so a cache hit allocates nothing on the
+//! body copy, no header vector — and the workers render it into a pooled
+//! frame buffer, so a cache hit allocates nothing on the
 //! request path once the pools are warm.
 
 use crate::federation::Federation;
@@ -427,7 +427,7 @@ pub(crate) enum CacheTopology {
     Federated(Arc<Federation>),
 }
 
-/// The [`RequestHandler`] decorator that gives both connection cores the
+/// The [`RequestHandler`] decorator that gives the connection core the
 /// result cache, `ETag`/`304` revalidation, and `HEAD` synthesis. Always
 /// installed — with `PIPEFAIL_CACHE=off` the LRU and single-flight gate
 /// are skipped but `ETag`, `304`, `HEAD`, and the `X-Pipefail-Epoch`
@@ -697,8 +697,8 @@ impl RequestHandler for CachingHandler {
     fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response) {
         // HEAD = GET minus the body bytes (`Content-Length` still reports
         // the body's length). Synthesized here so every GET route — and
-        // the cache in front of it — answers HEAD on both cores instead
-        // of falling through to 405/404.
+        // the cache in front of it — answers HEAD instead of falling
+        // through to 405/404.
         let converted;
         let (req, head_only) = if req.method == "HEAD" {
             converted = ParsedRequest { method: "GET".into(), ..req.clone() };

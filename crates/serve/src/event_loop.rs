@@ -1,13 +1,9 @@
-// The event-driven connection core: one loop thread multiplexes every
-// connection over epoll while the existing worker pool keeps doing the
-// CPU-bound scoring. Selected by `PIPEFAIL_HTTP_CORE=epoll` (the default
-// on Linux); `PIPEFAIL_HTTP_CORE=threads` keeps the thread-per-connection
-// core, and the two must answer byte-identically (proptest-asserted in
-// tests/epoll_core.rs).
+// The connection core: one loop thread multiplexes every connection over
+// epoll while a worker pool does the CPU-bound scoring. Answers must not
+// depend on how the client fragments its writes or reads
+// (proptest-asserted in tests/epoll_core.rs).
 //
-// Per-connection state machine (mirroring `http::handle_connection`
-// decision-for-decision — same parse/drain accounting, same deadline
-// arming, same metrics ordering):
+// Per-connection state machine:
 //
 //   accept ──▶ READING ──parse──▶ SCORING ──done──▶ WRITING ─┐
 //                ▲  ▲            (worker pool)               │
@@ -21,11 +17,12 @@
 // * SCORING: the parsed request is on the worker pool; read interest is
 //   dropped (natural TCP backpressure — the kernel buffer fills, the
 //   client's send window closes) and the cumulative request deadline is
-//   suspended, exactly like a busy worker in the threaded core.
+//   suspended: the budget bounds what the *client* takes, and server-side
+//   scoring time is not the client's fault.
 // * WRITING: responses are queued to an output buffer drained on
 //   `EPOLLOUT`, so a slow reader never blocks the loop; a write stalled
-//   past the request timeout closes the connection like the threaded
-//   core's write timeout.
+//   past the request timeout closes the connection, so a client that
+//   stops reading cannot hold its buffer forever.
 // * Admission control: a bounded in-flight queue answers `429` +
 //   `Retry-After` straight from the loop; at the connection cap the
 //   longest-idle keep-alive connection is shed first, and only when no
@@ -127,7 +124,8 @@ struct Conn {
     inflight: bool,
     close_after_write: bool,
     /// Cumulative per-request deadline, armed at the first byte of a
-    /// request — identical accounting to the threaded core.
+    /// request and never extended by later reads, so a client dribbling
+    /// bytes cannot outlast the request timeout (slow-loris).
     request_started: Option<Instant>,
     idle_since: Instant,
     /// When the current output buffer was queued (write-stall deadline).
@@ -169,10 +167,9 @@ enum Flush {
     Closed,
 }
 
-/// Spawn the event loop and its worker pool. Returns the loop thread (it
-/// slots into `ServerHandle.accept`, and the shutdown protocol — set the
-/// flag, poke the listener with a throwaway connect — wakes `epoll_wait`
-/// just as it unblocks a threaded `accept`) plus the worker handles.
+/// Spawn the event loop and its worker pool. Returns the loop thread (the
+/// shutdown protocol — set the flag, poke the listener with a throwaway
+/// connect — wakes it out of `epoll_wait`) plus the worker handles.
 pub(crate) fn spawn(
     handler: Arc<dyn RequestHandler>,
     metrics: Arc<Metrics>,
@@ -239,7 +236,9 @@ fn worker_loop(
     mut wake: UnixStream,
 ) {
     loop {
-        // Hold the lock only for the dequeue (see the threaded core).
+        // Hold the lock only for the dequeue, so workers score in
+        // parallel; recover from a poisoned lock (a panicking sibling)
+        // rather than dying with it.
         let job = {
             let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
             guard.recv()
@@ -248,10 +247,11 @@ fn worker_loop(
         let started = Instant::now();
         let (route, mut response) = handler.handle(&job.req, metrics);
         response.close = job.close;
-        // Observe before the response can reach the client — same ordering
-        // invariant as the threaded core (a client that has read a response
-        // must already see it counted in /metrics). The response is not
-        // handed to the loop until after this.
+        // Observe before the response can reach the client: a client that
+        // has read a response must already see it counted in /metrics. The
+        // response is not handed to the loop until after this. Health
+        // probes count in their own side counter so a federation front end
+        // polling `/healthz` every second doesn't drown the request series.
         if route == Route::Healthz {
             metrics.healthz();
         } else {
@@ -335,8 +335,8 @@ impl EventLoop {
         let mut request_expired: Vec<u64> = Vec::new();
         let mut write_expired: Vec<u64> = Vec::new();
         for (&token, conn) in &self.conns {
-            // SCORING carries no deadline: the threaded core doesn't check
-            // the budget while the handler runs either.
+            // SCORING carries no deadline: the request budget is suspended
+            // while the handler runs (see the state machine above).
             if conn.inflight {
                 continue;
             }
@@ -375,8 +375,9 @@ impl EventLoop {
     }
 
     /// `408` for a connection whose cumulative request deadline expired
-    /// mid-request — byte- and metrics-identical to the threaded core's
-    /// `answer_request_timeout`.
+    /// mid-request (stalled or dribbling client): tell it before hanging
+    /// up. Idle keep-alive expiry, where nothing was asked, closes quietly
+    /// instead.
     fn answer_request_timeout(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -412,8 +413,9 @@ impl EventLoop {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        // Same socket posture as the threaded core: latency-bound
-        // request/response traffic, Nagle off.
+        // Request/response on one socket is latency-bound, not
+        // throughput-bound: disable Nagle so small frames leave
+        // immediately instead of waiting out a delayed ACK.
         stream.set_nodelay(true).ok();
         if stream.set_nonblocking(true).is_err() {
             return;
@@ -524,7 +526,7 @@ impl EventLoop {
             };
             // A dispatched or writing connection stops reading: interest is
             // off, the kernel buffer backs up, TCP backpressure reaches the
-            // client — the same flow control a busy threaded worker exerts.
+            // client, so one fast writer cannot queue unbounded requests.
             if conn.inflight || !conn.out.is_empty() {
                 return;
             }
@@ -560,10 +562,11 @@ impl EventLoop {
     }
 
     /// Parse-and-dispatch: consume as many buffered requests as can make
-    /// progress. Mirrors the threaded core's inner drain loop exactly —
-    /// same `consumed`-byte accounting, deadline re-arming, keep-alive
-    /// reuse counting, and cap handling. Returns `false` when the
-    /// connection was closed.
+    /// progress, one at a time per connection (pipelined requests are
+    /// answered in order). The parser's exact `consumed`-byte accounting
+    /// keeps the stream aligned; the deadline re-arms for a leftover
+    /// pipelined request, and the keep-alive cap decides `close`. Returns
+    /// `false` when the connection was closed.
     fn pump(&mut self, token: u64) -> bool {
         loop {
             match self.flush(token) {

@@ -725,9 +725,9 @@ impl Federation {
     /// One probe round: `GET /healthz` on every backend. Any well-formed
     /// response (whatever the status) proves the wire and heals `Down`.
     /// Probes deliberately use one-shot `Connection: close` requests and
-    /// never touch the connection pool: a pooled probe connection kept
-    /// warm every `probe_secs` would pin one backend worker thread
-    /// *forever*, quietly halving a small backend's capacity.
+    /// never touch the connection pool: each probe proves a fresh connect
+    /// works, and a probe socket kept warm every `probe_secs` would hold
+    /// one of the backend's connection slots forever.
     fn probe_all(&self, metrics: &Metrics) {
         let timeout = Duration::from_secs_f64(self.config.request_timeout_secs);
         for backend in &self.backends {
@@ -1458,7 +1458,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let scorer = Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking));
+        let scorer = Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking)).expect("valid snapshot");
         let body = http::render_top_k(&scorer, 20);
         let parsed = parse_top_entries(&body).expect("parseable");
         assert_eq!(parsed.len(), 20);

@@ -19,23 +19,24 @@
 //! ```
 //!
 //! * [`scorer`] — loads a snapshot and answers "top-K riskiest pipes" and
-//!   per-pipe risk queries from a pre-sorted in-memory table; batches of
-//!   queries fan out over a [`pipefail_par::TaskPool`].
+//!   per-pipe risk queries straight from its validated v2 columns (a
+//!   memory-mapped file, or an owned copy for v1 files and in-memory
+//!   snapshots); batches of queries fan out over a
+//!   [`pipefail_par::TaskPool`].
 //! * [`parser`] — the incremental HTTP/1.1 request parser: typed errors,
 //!   exact consumed-byte accounting for pipelining, proptest-hardened
 //!   against fragmented and adversarial byte streams.
-//! * [`http`] — a minimal hand-rolled HTTP/1.1 server on
-//!   `std::net::TcpListener` (the workspace's dependency policy rules out
-//!   async frameworks, as it does serde): keep-alive connections with
-//!   pipelined-request parsing, per-request and idle timeouts reusing the
-//!   `PIPEFAIL_*` budget-knob idiom of the experiment runner, graceful
-//!   shutdown, and an optional risk-map SVG endpoint reusing
-//!   [`pipefail_eval::riskmap`]. Two interchangeable connection cores
-//!   ([`HttpCore`], `PIPEFAIL_HTTP_CORE`): a hand-rolled epoll event loop
-//!   (`event_loop`, the Linux default — one loop thread multiplexes
-//!   thousands of sockets, the worker pool only scores, admission control
-//!   answers `429` + `Retry-After` under pressure) and the original
-//!   thread-per-connection core; both answer byte-identically.
+//! * [`http`] — a minimal hand-rolled HTTP/1.1 server (the workspace's
+//!   dependency policy rules out async frameworks, as it does serde):
+//!   keep-alive connections with pipelined-request parsing, per-request
+//!   and idle timeouts reusing the `PIPEFAIL_*` budget-knob idiom of the
+//!   experiment runner, graceful shutdown, and an optional risk-map SVG
+//!   endpoint reusing [`pipefail_eval::riskmap`]. One connection core: a
+//!   hand-rolled epoll event loop (`event_loop`) in which one loop thread
+//!   multiplexes thousands of sockets, the worker pool only scores, and
+//!   admission control answers `429` + `Retry-After` under pressure.
+//!   Serving is Linux-only; elsewhere [`serve`] returns
+//!   [`ServeError::BadConfig`].
 //! * [`shards`] — shard-by-region serving: a [`ShardSet`] loads one
 //!   snapshot per region **in parallel on the `TaskPool`** and serves them
 //!   behind one endpoint. Region-tagged queries route to one shard;
@@ -56,8 +57,8 @@
 //!   topology — monolithic, sharded, federated — answers byte-identically.
 //!   The query reference and quickstart live in `docs/AGGREGATE.md`.
 //! * [`metrics`] — lock-free request counters (including keep-alive reuse
-//!   and reload outcomes) and a latency histogram, exposed at `/metrics`
-//!   in Prometheus text exposition format.
+//!   and reload outcomes) and per-route latency histograms, exposed at
+//!   `/metrics` in Prometheus text exposition format.
 //! * [`federation`] — remote-shard federation: a front-end process that
 //!   routes `?region=K` queries to backend serve processes over keep-alive
 //!   TCP and scatter-gathers the global top-K with the same k-way merge
@@ -72,6 +73,10 @@
 //! The fit → snapshot → serve → query walkthrough lives in
 //! `docs/SERVING.md`; the byte-level snapshot spec in
 //! `docs/SNAPSHOT_FORMAT.md`.
+
+// The scorer reinterprets the snapshot's little-endian columns in place.
+#[cfg(target_endian = "big")]
+compile_error!("pipefail-serve supports little-endian targets only");
 
 pub mod aggregate;
 pub(crate) mod cache;
@@ -89,12 +94,11 @@ pub(crate) mod sys;
 
 pub use aggregate::{AggField, AggOp, Aggregate, AggregateError, AggregateSpec, GroupKey};
 pub use federation::{serve_federated, BackendState, FedConfig, Federation, FederationError};
-pub use http::{serve, HttpCore, ServeContext, ServerConfig, ServerHandle};
+pub use http::{serve, ServeContext, ServerConfig, ServerHandle};
 pub use metrics::Metrics;
 pub use parser::{ParseError, ParseOutcome, ParsedRequest};
 pub use scorer::{
-    AttributesView, PipeAttributes, PipeRisk, Query, QueryResult, RiskSlice, RiskSliceIter,
-    SectionInfo, Scorer,
+    AttributesView, PipeRisk, Query, QueryResult, RiskSlice, RiskSliceIter, SectionInfo, Scorer,
 };
 pub use shards::{merge_top_k, region_key, GlobalRisk, ReloadPolicy, Shard, ShardSet};
 

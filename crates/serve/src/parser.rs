@@ -1,19 +1,18 @@
 //! Incremental HTTP/1.1 request parser for the keep-alive server.
 //!
-//! Both connection cores read a connection into one growing byte buffer
-//! and call [`parse_request`] on it after every read — the threaded core
-//! from its per-connection loop, the epoll event loop from its
-//! per-connection state machine, where the incremental contract is what
-//! makes a single-threaded loop over thousands of fragmented sockets
-//! possible at all. The parser either produces a complete request **plus
+//! The epoll event loop reads each connection into one growing byte
+//! buffer and calls [`parse_request`] on it after every read; the
+//! incremental contract is what makes a single-threaded loop over
+//! thousands of fragmented sockets possible at all. The parser either produces a complete request **plus
 //! the exact number of bytes it consumed** (so pipelined requests queued
 //! behind it in the same buffer are untouched), reports that the buffer
 //! is still incomplete, or fails with a typed [`ParseError`]. It never
 //! panics on any byte sequence and never reads past the framing declared
 //! by the request itself — both properties are exercised by the
 //! adversarial proptest battery in
-//! `crates/serve/tests/parser_proptest.rs`, and the cores' observable
-//! equivalence on top of it by `crates/serve/tests/epoll_core.rs`.
+//! `crates/serve/tests/parser_proptest.rs`, and the event loop's
+//! independence from read/write fragmentation on top of it by
+//! `crates/serve/tests/epoll_core.rs`.
 
 use std::fmt;
 

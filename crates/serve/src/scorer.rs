@@ -1,24 +1,20 @@
 //! The scoring engine: snapshot in, microsecond risk queries out.
 //!
 //! A [`Scorer`] is an immutable, shareable (`Sync`) view of one model
-//! snapshot, behind one of two backings:
+//! snapshot, always held the same way: as validated PFSNAP v2 bytes
+//! ([`pipefail_core::snapshot::v2::validate`]) whose ranking, id→rank
+//! index, and attribute columns are served **directly from those bytes** —
+//! nothing O(n_pipes) is decoded. The bytes come from one of two places:
 //!
-//! * **Heap** — the v1 path: the snapshot is parsed into owned vectors.
-//!   Loading costs O(file size); queries are slices and binary searches.
-//! * **Mapped** — the v2 path: the file is `mmap`ed read-only
-//!   (`sys`'s raw-syscall mapping) and validated in one pass
-//!   ([`pipefail_core::snapshot::v2::validate`]); the ranking, the
-//!   id→rank index, and the attribute columns are then served **directly
-//!   from the mapped bytes** — loading is O(ms) regardless of snapshot
-//!   size, and the page cache is shared across processes serving the same
-//!   file. The mapping lives inside an `Arc`, so a hot-reload swap keeps
-//!   the old pages valid until the last in-flight request drops its clone.
+//! * a v2 file, `mmap`ed read-only (`sys`'s raw-syscall mapping): loading
+//!   is O(ms) regardless of snapshot size, and the page cache is shared
+//!   across processes serving the same file;
+//! * an owned 8-byte-aligned copy of the v2 encoding, for v1 files and
+//!   in-memory [`Snapshot`]s ([`Scorer::new`]): parsed, re-encoded as v2,
+//!   then validated by the same strict pass a mapped file gets.
 //!
-//! [`Scorer::load`] negotiates on the header version: v1 files take the
-//! heap path, v2 files the mapped path (falling back to a heap parse on
-//! big-endian hosts, where the zero-copy column casts would read garbage).
-//! Both backings answer every query identically — the `mmap_identity`
-//! battery proves it on arbitrary generated snapshots.
+//! The bytes live inside an `Arc`, so a hot-reload swap keeps the old
+//! pages valid until the last in-flight request drops its clone.
 //!
 //! Queries return view types ([`RiskSlice`], [`AttributesView`]) instead
 //! of slices of owned structs, so the zero-copy property survives the API
@@ -29,8 +25,8 @@
 use crate::sys;
 use pipefail_core::model::RiskRanking;
 use pipefail_core::snapshot::{
-    v2, Snapshot, SnapshotError, SnapshotFormat, SummarySection, ATTRIBUTES_SECTION,
-    ATTR_LAID_YEAR, ATTR_LENGTH_M, ATTR_MATERIAL, HEADER_LEN, MAGIC, SNAPSHOT_VERSION_V2,
+    v2, Snapshot, SnapshotError, SnapshotFormat, ATTRIBUTES_SECTION, ATTR_LAID_YEAR,
+    ATTR_LENGTH_M, ATTR_MATERIAL, HEADER_LEN, MAGIC, SNAPSHOT_VERSION_V2,
 };
 use pipefail_network::attributes::Material;
 use pipefail_network::ids::PipeId;
@@ -71,65 +67,12 @@ pub enum QueryResult {
     Pipe(Option<PipeRisk>),
 }
 
-/// Per-pipe asset attributes decoded from the snapshot's well-known
-/// `pipe_attributes` section, aligned with the descending score order
-/// (entry `i` describes the pipe at rank `i`). Present only when the
-/// snapshot carries the section *and* it validates: every field the same
-/// length as the ranking, lengths finite and non-negative, material
-/// indices inside the catalogue. A malformed section is dropped rather
-/// than served — top-K and point lookups keep working, aggregation
-/// queries that need attributes get a typed refusal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipeAttributes {
-    /// Pipe length in metres, by rank.
-    pub length_m: Vec<f64>,
-    /// Pipe material, by rank.
-    pub material: Vec<Material>,
-    /// Construction year, by rank.
-    pub laid_year: Vec<i32>,
-}
-
-impl PipeAttributes {
-    /// Decode and validate the attributes section against a ranking of
-    /// `n` pipes. `None` when the section is absent or malformed.
-    fn decode(sections: &[SummarySection], n: usize) -> Option<Self> {
-        let section = sections.iter().find(|s| s.name == ATTRIBUTES_SECTION)?;
-        let length_m = section.field(ATTR_LENGTH_M)?;
-        let material = section.field(ATTR_MATERIAL)?;
-        let laid_year = section.field(ATTR_LAID_YEAR)?;
-        if length_m.len() != n || material.len() != n || laid_year.len() != n {
-            return None;
-        }
-        if !length_m.iter().all(|l| l.is_finite() && *l >= 0.0) {
-            return None;
-        }
-        let material: Option<Vec<Material>> = material
-            .iter()
-            .map(|&m| {
-                (m.fract() == 0.0 && m >= 0.0 && (m as usize) < Material::ALL.len())
-                    .then(|| Material::ALL[m as usize])
-            })
-            .collect();
-        let laid_year: Option<Vec<i32>> = laid_year
-            .iter()
-            .map(|&y| {
-                (y.is_finite() && y.fract() == 0.0 && y >= f64::from(i32::MIN) && y <= f64::from(i32::MAX))
-                    .then_some(y as i32)
-            })
-            .collect();
-        Some(Self {
-            length_m: length_m.to_vec(),
-            material: material?,
-            laid_year: laid_year?,
-        })
-    }
-}
-
 /// A borrowed run of ranking entries starting at rank 0 — what
-/// [`Scorer::top_k`] returns. Over a heap backing this wraps a slice of
-/// [`PipeRisk`]; over a mapped backing it wraps the raw id and score
-/// columns and materializes each `PipeRisk` on the fly, so rendering a
-/// top-K response never copies the table.
+/// [`Scorer::top_k`] returns. It wraps the raw id and score columns of a
+/// snapshot and materializes each `PipeRisk` on the fly, so rendering a
+/// top-K response never copies the table; it can also wrap a parsed
+/// `&[PipeRisk]` table (federation merges remote backends' answers this
+/// way).
 #[derive(Debug, Clone, Copy)]
 pub struct RiskSlice<'a> {
     inner: SliceInner<'a>,
@@ -137,7 +80,7 @@ pub struct RiskSlice<'a> {
 
 #[derive(Debug, Clone, Copy)]
 enum SliceInner<'a> {
-    Heap(&'a [PipeRisk]),
+    Entries(&'a [PipeRisk]),
     Cols { ids: &'a [u32], scores: &'a [f64] },
 }
 
@@ -145,7 +88,7 @@ impl<'a> RiskSlice<'a> {
     /// Number of entries.
     pub fn len(&self) -> usize {
         match self.inner {
-            SliceInner::Heap(s) => s.len(),
+            SliceInner::Entries(s) => s.len(),
             SliceInner::Cols { ids, .. } => ids.len(),
         }
     }
@@ -158,7 +101,7 @@ impl<'a> RiskSlice<'a> {
     /// The entry at position `i` (which is also its rank), if in range.
     pub fn get(&self, i: usize) -> Option<PipeRisk> {
         match self.inner {
-            SliceInner::Heap(s) => s.get(i).copied(),
+            SliceInner::Entries(s) => s.get(i).copied(),
             SliceInner::Cols { ids, scores } => Some(PipeRisk {
                 pipe: PipeId(*ids.get(i)?),
                 score: *scores.get(i)?,
@@ -185,7 +128,7 @@ impl<'a> RiskSlice<'a> {
 
 impl<'a> From<&'a [PipeRisk]> for RiskSlice<'a> {
     fn from(s: &'a [PipeRisk]) -> Self {
-        RiskSlice { inner: SliceInner::Heap(s) }
+        RiskSlice { inner: SliceInner::Entries(s) }
     }
 }
 
@@ -231,33 +174,21 @@ impl<'a> IntoIterator for &RiskSlice<'a> {
     }
 }
 
-/// A borrowed view of the per-pipe asset attributes, aligned with the
-/// ranking (index `i` describes the pipe at rank `i`). Over a heap backing
-/// this reads the decoded [`PipeAttributes`]; over a mapped backing it
-/// reads the raw f64 columns in place (values were validated at load, so
-/// the conversions here cannot fail).
+/// A borrowed view of the per-pipe asset attributes decoded from the
+/// snapshot's well-known `pipe_attributes` section, aligned with the
+/// ranking (index `i` describes the pipe at rank `i`): three `f64`
+/// columns, validated at load, so the conversions here cannot fail.
 #[derive(Debug, Clone, Copy)]
 pub struct AttributesView<'a> {
-    inner: AttrInner<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum AttrInner<'a> {
-    Heap(&'a PipeAttributes),
-    Cols {
-        length_m: &'a [f64],
-        material: &'a [f64],
-        laid_year: &'a [f64],
-    },
+    length_m: &'a [f64],
+    material: &'a [f64],
+    laid_year: &'a [f64],
 }
 
 impl AttributesView<'_> {
     /// Number of described pipes (always the ranking length).
     pub fn len(&self) -> usize {
-        match self.inner {
-            AttrInner::Heap(a) => a.length_m.len(),
-            AttrInner::Cols { length_m, .. } => length_m.len(),
-        }
+        self.length_m.len()
     }
 
     /// True when no pipes are described.
@@ -267,10 +198,7 @@ impl AttributesView<'_> {
 
     /// Length in metres of the pipe at rank `i`.
     pub fn length_m(&self, i: usize) -> f64 {
-        match self.inner {
-            AttrInner::Heap(a) => a.length_m[i],
-            AttrInner::Cols { length_m, .. } => length_m[i],
-        }
+        self.length_m[i]
     }
 
     /// Material of the pipe at rank `i`.
@@ -280,21 +208,12 @@ impl AttributesView<'_> {
 
     /// Index into `Material::ALL` of the pipe at rank `i`'s material.
     pub fn material_index(&self, i: usize) -> usize {
-        match self.inner {
-            AttrInner::Heap(a) => Material::ALL
-                .iter()
-                .position(|m| *m == a.material[i])
-                .expect("decoded material is catalogued"),
-            AttrInner::Cols { material, .. } => material[i] as usize,
-        }
+        self.material[i] as usize
     }
 
     /// Construction year of the pipe at rank `i`.
     pub fn laid_year(&self, i: usize) -> i32 {
-        match self.inner {
-            AttrInner::Heap(a) => a.laid_year[i],
-            AttrInner::Cols { laid_year, .. } => laid_year[i] as i32,
-        }
+        self.laid_year[i] as i32
     }
 }
 
@@ -310,156 +229,91 @@ pub struct SectionInfo {
     pub fields: Vec<(String, usize)>,
 }
 
-/// The mapped backing: the raw mapping plus the validated layout. Held in
-/// an `Arc` by every clone of the scorer, so the `munmap` happens exactly
-/// when the last holder (shard table or in-flight request) lets go.
+/// The one backing: validated v2 bytes plus their layout. Held in an
+/// `Arc` by every clone of the scorer, so a mapping's `munmap` happens
+/// exactly when the last holder (shard table or in-flight request) lets go.
 #[derive(Debug)]
-struct MappedBacking {
-    map: sys::Mapping,
+struct Columns {
+    bytes: sys::Mapping,
     layout: v2::Layout,
-    /// Attributes decoded from the summary blob when the writer did *not*
-    /// extract columns (non-canonical section shape). Keeps the two
-    /// loaders agreeing on whether attributes exist.
-    heap_attrs: Option<PipeAttributes>,
+    /// `length_m`/`material`/`laid_year` decoded from the summary blob,
+    /// where the writer leaves a `pipe_attributes` section it could not
+    /// extract into columns (non-canonical field order or extra fields).
+    summary_attrs: Option<[Vec<f64>; 3]>,
 }
 
-impl MappedBacking {
+impl Columns {
     /// Reinterpret a validated column range as a `u32` slice.
     fn u32s(&self, range: &Range<usize>) -> &[u32] {
-        let bytes = &self.map.bytes()[range.clone()];
+        let bytes = &self.bytes.bytes()[range.clone()];
         // SAFETY: the validator proved the range 8-byte-aligned within the
-        // file and the mapping base is at least 8-aligned (page-aligned on
-        // unix, u64-backed on the fallback), so the pointer is aligned for
-        // u32; the length is a multiple of 4 by the section-table element
-        // check. Only constructed on little-endian hosts (see
-        // `Scorer::load`), where `u32` memory layout equals the on-disk
-        // little-endian encoding.
+        // file and the base is 8-aligned (see `sys::Mapping`), so the
+        // pointer is aligned for u32; the length is a multiple of 4 by the
+        // section-table element check. The crate only builds for
+        // little-endian targets (see `lib.rs`), where `u32` memory layout
+        // equals the on-disk little-endian encoding.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
     }
 
     /// Reinterpret a validated column range as an `f64` slice.
     fn f64s(&self, range: &Range<usize>) -> &[f64] {
-        let bytes = &self.map.bytes()[range.clone()];
+        let bytes = &self.bytes.bytes()[range.clone()];
         // SAFETY: as `u32s`, with 8-byte elements.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, bytes.len() / 8) }
     }
 }
 
-#[derive(Debug, Clone)]
-enum Backing {
-    Heap {
-        /// Descending by score; `rank` equals the index.
-        entries: Vec<PipeRisk>,
-        /// `(pipe id, rank)` sorted ascending — point lookups are a binary
-        /// search over one contiguous 8-byte-per-pipe array. This beats a
-        /// `HashMap` here twice over: no SipHash per probe (the ids are
-        /// attacker-neutral — they come from the snapshot, not the
-        /// client), and the probe sequence is cache-friendly instead of a
-        /// random walk. Sorted by the full `(id, rank)` pair so lookups
-        /// resolve duplicates identically to the v2 on-disk index.
-        index: Vec<(PipeId, u32)>,
-        sections: Vec<SummarySection>,
-        /// Decoded `pipe_attributes` section, when present and valid.
-        attributes: Option<PipeAttributes>,
-    },
-    Mapped(Arc<MappedBacking>),
-}
-
-/// In-memory scoring engine over one loaded snapshot (heap-parsed or
-/// memory-mapped; see the module docs).
+/// In-memory scoring engine over one loaded snapshot (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct Scorer {
     model: String,
     region: String,
     seed: u64,
     format: SnapshotFormat,
-    backing: Backing,
+    columns: Arc<Columns>,
 }
 
 impl Scorer {
-    /// Build from a validated snapshot (scores arrive pre-sorted — the
-    /// format guarantees descending order). Heap-backed; the format tag is
-    /// [`SnapshotFormat::V1`], matching what `to_bytes` would write.
-    pub fn new(snapshot: Snapshot) -> Self {
-        Self::new_with_format(snapshot, SnapshotFormat::V1)
+    /// Build from an in-memory snapshot: encoded as v2 into an owned
+    /// buffer and validated like a file, so a non-finite or unsorted score
+    /// is refused here exactly as the file loaders refuse it. The format
+    /// tag is [`SnapshotFormat::V1`], matching what `to_bytes` would write.
+    pub fn new(snapshot: Snapshot) -> Result<Self, SnapshotError> {
+        Self::from_snapshot(&snapshot, SnapshotFormat::V1)
     }
 
-    fn new_with_format(snapshot: Snapshot, format: SnapshotFormat) -> Self {
-        let entries: Vec<PipeRisk> = snapshot
-            .scores
-            .iter()
-            .enumerate()
-            .map(|(rank, &(pipe, score))| PipeRisk { pipe, score, rank })
-            .collect();
-        let mut index: Vec<(PipeId, u32)> = entries
-            .iter()
-            .map(|e| (e.pipe, e.rank as u32))
-            .collect();
-        index.sort_unstable();
-        let attributes = PipeAttributes::decode(&snapshot.sections, entries.len());
-        Self {
-            model: snapshot.model,
-            region: snapshot.region,
-            seed: snapshot.seed,
-            format,
-            backing: Backing::Heap {
-                entries,
-                index,
-                sections: snapshot.sections,
-                attributes,
-            },
-        }
+    fn from_snapshot(snapshot: &Snapshot, format: SnapshotFormat) -> Result<Self, SnapshotError> {
+        Self::from_bytes(sys::Mapping::copy_of(&snapshot.to_bytes_v2()), format)
     }
 
-    /// Load a snapshot file and build the engine, negotiating the backing
-    /// on the header version: v1 heap-parses, v2 memory-maps (one strict
-    /// validation pass over the mapped bytes, then zero-copy serving).
-    /// Big-endian hosts heap-parse v2 too — correct, just not zero-copy.
+    /// Load a snapshot file: v2 files are memory-mapped (one strict
+    /// validation pass over the mapped bytes, then zero-copy serving); v1
+    /// files are parsed and held as an owned v2 copy.
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
-        let version = peek_version(path)?;
-        if version == SNAPSHOT_VERSION_V2 && cfg!(target_endian = "little") {
-            Self::open_mapped(path)
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        if peek_version(path)? == SNAPSHOT_VERSION_V2 {
+            Self::from_bytes(sys::Mapping::map_path(path).map_err(io)?, SnapshotFormat::V2)
         } else {
-            Self::load_heap(path)
+            let snapshot = Snapshot::from_bytes(&std::fs::read(path).map_err(io)?)?;
+            Self::from_snapshot(&snapshot, SnapshotFormat::V1)
         }
     }
 
-    /// Load a snapshot file onto the heap regardless of its version — the
-    /// reference loader the mmap identity battery and the cold-start bench
-    /// compare against.
-    pub fn load_heap(path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        let format = if bytes.len() >= 8
-            && u16::from_le_bytes([bytes[6], bytes[7]]) == SNAPSHOT_VERSION_V2
-        {
-            SnapshotFormat::V2
-        } else {
-            SnapshotFormat::V1
+    /// Validate v2 `bytes` in place and serve from them.
+    fn from_bytes(bytes: sys::Mapping, format: SnapshotFormat) -> Result<Self, SnapshotError> {
+        let layout = v2::validate(bytes.bytes())?;
+        let text = |range: &Range<usize>| {
+            String::from_utf8_lossy(&bytes.bytes()[range.clone()]).into_owned()
         };
-        Ok(Self::new_with_format(Snapshot::from_bytes(&bytes)?, format))
-    }
-
-    /// Map a v2 file and validate it in place.
-    fn open_mapped(path: &Path) -> Result<Self, SnapshotError> {
-        let map = sys::Mapping::map_path(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        let layout = v2::validate(map.bytes())?;
-        let model = std::str::from_utf8(&map.bytes()[layout.model.clone()])
-            .expect("validated utf8")
-            .to_string();
-        let region = std::str::from_utf8(&map.bytes()[layout.region.clone()])
-            .expect("validated utf8")
-            .to_string();
-        let heap_attrs = if layout.attrs.is_none() {
-            PipeAttributes::decode(&layout.summary, layout.n_pipes)
-        } else {
-            None
-        };
+        let (model, region) = (text(&layout.model), text(&layout.region));
+        let summary_attrs = summary_attrs(&layout);
         Ok(Self {
             model,
             region,
             seed: layout.seed,
-            format: SnapshotFormat::V2,
-            backing: Backing::Mapped(Arc::new(MappedBacking { map, layout, heap_attrs })),
+            format,
+            columns: Arc::new(Columns { bytes, layout, summary_attrs }),
         })
     }
 
@@ -486,11 +340,11 @@ impl Scorer {
 
     /// True when the scorer serves directly from a memory-mapped file.
     pub fn mapped(&self) -> bool {
-        matches!(self.backing, Backing::Mapped(_))
+        self.columns.bytes.is_mapped()
     }
 
     /// How the snapshot is held: `"mmap"` (zero-copy mapping) or `"heap"`
-    /// (owned vectors). Reported by `/model`.
+    /// (owned copy). Reported by `/model`.
     pub fn loader(&self) -> &'static str {
         if self.mapped() {
             "mmap"
@@ -501,10 +355,7 @@ impl Scorer {
 
     /// Number of ranked pipes.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Heap { entries, .. } => entries.len(),
-            Backing::Mapped(b) => b.layout.n_pipes,
-        }
+        self.columns.layout.n_pipes
     }
 
     /// True when the snapshot ranked no pipes.
@@ -513,70 +364,61 @@ impl Scorer {
     }
 
     /// Shape of the posterior summary sections carried by the snapshot
-    /// (names and field value counts, as reported by `/model`). Identical
-    /// between the two backings: a mapped scorer synthesizes the entry for
-    /// extracted attribute columns at its original position.
+    /// (names and field value counts, as reported by `/model`), in export
+    /// order: extracted attribute columns are reported at their original
+    /// position.
     pub fn sections_info(&self) -> Vec<SectionInfo> {
-        let of_sections = |sections: &[SummarySection]| {
-            sections
-                .iter()
-                .map(|s| SectionInfo {
-                    name: s.name.clone(),
-                    fields: s
-                        .fields
-                        .iter()
-                        .map(|f| (f.name.clone(), f.values.len()))
-                        .collect(),
-                })
-                .collect::<Vec<_>>()
-        };
-        match &self.backing {
-            Backing::Heap { sections, .. } => of_sections(sections),
-            Backing::Mapped(b) => {
-                let mut infos = of_sections(&b.layout.summary);
-                if let (Some(_), Some(pos)) = (&b.layout.attrs, b.layout.attr_pos) {
-                    let n = b.layout.n_pipes;
-                    infos.insert(
-                        pos,
-                        SectionInfo {
-                            name: ATTRIBUTES_SECTION.to_string(),
-                            fields: vec![
-                                (ATTR_LENGTH_M.to_string(), n),
-                                (ATTR_MATERIAL.to_string(), n),
-                                (ATTR_LAID_YEAR.to_string(), n),
-                            ],
-                        },
-                    );
-                }
-                infos
-            }
+        let layout = &self.columns.layout;
+        let mut infos: Vec<SectionInfo> = layout
+            .summary
+            .iter()
+            .map(|s| SectionInfo {
+                name: s.name.clone(),
+                fields: s
+                    .fields
+                    .iter()
+                    .map(|f| (f.name.clone(), f.values.len()))
+                    .collect(),
+            })
+            .collect();
+        if let (Some(_), Some(pos)) = (&layout.attrs, layout.attr_pos) {
+            let n = layout.n_pipes;
+            infos.insert(
+                pos,
+                SectionInfo {
+                    name: ATTRIBUTES_SECTION.to_string(),
+                    fields: vec![
+                        (ATTR_LENGTH_M.to_string(), n),
+                        (ATTR_MATERIAL.to_string(), n),
+                        (ATTR_LAID_YEAR.to_string(), n),
+                    ],
+                },
+            );
         }
+        infos
     }
 
     /// Per-pipe asset attributes (length / material / construction year),
-    /// when the snapshot carries a valid `pipe_attributes` section. Rank
-    /// `i` of the ranking owns index `i` of the view.
+    /// when the snapshot carries a valid `pipe_attributes` section: every
+    /// field the same length as the ranking, lengths finite and
+    /// non-negative, material indices inside the catalogue, integral years.
+    /// A malformed section is ignored rather than served — top-K and point
+    /// lookups keep working, aggregation queries that need attributes get
+    /// a typed refusal. Rank `i` of the ranking owns index `i` of the view.
     pub fn attributes(&self) -> Option<AttributesView<'_>> {
-        match &self.backing {
-            Backing::Heap { attributes, .. } => attributes
-                .as_ref()
-                .map(|a| AttributesView { inner: AttrInner::Heap(a) }),
-            Backing::Mapped(b) => {
-                if let Some(cols) = &b.layout.attrs {
-                    Some(AttributesView {
-                        inner: AttrInner::Cols {
-                            length_m: b.f64s(&cols.length_m),
-                            material: b.f64s(&cols.material),
-                            laid_year: b.f64s(&cols.laid_year),
-                        },
-                    })
-                } else {
-                    b.heap_attrs
-                        .as_ref()
-                        .map(|a| AttributesView { inner: AttrInner::Heap(a) })
-                }
-            }
+        let c = &self.columns;
+        if let Some(cols) = &c.layout.attrs {
+            return Some(AttributesView {
+                length_m: c.f64s(&cols.length_m),
+                material: c.f64s(&cols.material),
+                laid_year: c.f64s(&cols.laid_year),
+            });
         }
+        c.summary_attrs.as_ref().map(|[length_m, material, laid_year]| AttributesView {
+            length_m,
+            material,
+            laid_year,
+        })
     }
 
     /// One-line identity used in logs ("which model is this process
@@ -592,48 +434,31 @@ impl Scorer {
         )
     }
 
-    /// The `k` riskiest pipes (all of them when `k > len`), descending.
-    /// Zero-copy on both backings: a slice of the pre-sorted table, or a
-    /// pair of column prefixes straight out of the mapping.
+    /// The `k` riskiest pipes (all of them when `k > len`), descending:
+    /// a pair of column prefixes, zero-copy.
     pub fn top_k(&self, k: usize) -> RiskSlice<'_> {
+        let c = &self.columns;
         let k = k.min(self.len());
-        match &self.backing {
-            Backing::Heap { entries, .. } => RiskSlice {
-                inner: SliceInner::Heap(&entries[..k]),
-            },
-            Backing::Mapped(b) => RiskSlice {
-                inner: SliceInner::Cols {
-                    ids: &b.u32s(&b.layout.pipe_ids)[..k],
-                    scores: &b.f64s(&b.layout.scores)[..k],
-                },
+        RiskSlice {
+            inner: SliceInner::Cols {
+                ids: &c.u32s(&c.layout.pipe_ids)[..k],
+                scores: &c.f64s(&c.layout.scores)[..k],
             },
         }
     }
 
     /// One pipe's risk, if it was ranked. O(log n): a binary search over
-    /// the sorted id→rank index — owned vectors on the heap backing, the
-    /// on-disk index columns on the mapped backing (`serve_bench` tracks
-    /// the lookup latency as `scorer/risk_of_100k`). Both indexes are
-    /// sorted by `(id, rank)`, so duplicate ids resolve to the same entry
-    /// either way.
+    /// the index columns (`serve_bench` tracks the lookup latency as
+    /// `scorer/risk_of_100k`).
     pub fn risk_of(&self, pipe: PipeId) -> Option<PipeRisk> {
-        match &self.backing {
-            Backing::Heap { entries, index, .. } => index
-                .binary_search_by_key(&pipe, |&(id, _)| id)
-                .ok()
-                .map(|i| entries[index[i].1 as usize]),
-            Backing::Mapped(b) => {
-                let ids = b.u32s(&b.layout.index_ids);
-                ids.binary_search(&pipe.0).ok().map(|i| {
-                    let rank = b.u32s(&b.layout.index_ranks)[i] as usize;
-                    PipeRisk {
-                        pipe,
-                        score: b.f64s(&b.layout.scores)[rank],
-                        rank,
-                    }
-                })
-            }
-        }
+        let c = &self.columns;
+        let i = c.u32s(&c.layout.index_ids).binary_search(&pipe.0).ok()?;
+        let rank = c.u32s(&c.layout.index_ranks)[i] as usize;
+        Some(PipeRisk {
+            pipe,
+            score: c.f64s(&c.layout.scores)[rank],
+            rank,
+        })
     }
 
     /// Reconstruct the full [`RiskRanking`] — bit-identical to the ranking
@@ -693,6 +518,29 @@ fn peek_version(path: &Path) -> Result<u16, SnapshotError> {
     Ok(u16::from_le_bytes([head[6], head[7]]))
 }
 
+/// Decode a `pipe_attributes` section the writer left in the summary blob
+/// into three owned columns, by field name — `None` when the writer
+/// extracted columns instead, or when the section is absent, misaligned
+/// with the ranking, or fails the rules the validator applies to
+/// extracted columns ([`v2::attr_values_valid`]).
+fn summary_attrs(layout: &v2::Layout) -> Option<[Vec<f64>; 3]> {
+    if layout.attrs.is_some() {
+        return None;
+    }
+    let section = layout.summary.iter().find(|s| s.name == ATTRIBUTES_SECTION)?;
+    let [Some(length_m), Some(material), Some(laid_year)] =
+        [ATTR_LENGTH_M, ATTR_MATERIAL, ATTR_LAID_YEAR].map(|name| section.field(name))
+    else {
+        return None;
+    };
+    let n = layout.n_pipes;
+    (length_m.len() == n
+        && material.len() == n
+        && laid_year.len() == n
+        && v2::attr_values_valid(length_m, material, laid_year))
+    .then(|| [length_m.to_vec(), material.to_vec(), laid_year.to_vec()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,7 +559,7 @@ mod tests {
     }
 
     fn scorer() -> Scorer {
-        Scorer::new(snapshot())
+        Scorer::new(snapshot()).expect("valid snapshot")
     }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -779,7 +627,7 @@ mod tests {
         let attach = |length: Vec<f64>, material: Vec<f64>, year: Vec<f64>| {
             let mut snap = Snapshot::new("DPMHBP", "Region A", 7, &ranking);
             snap.push_section(attributes_section(length, material, year));
-            Scorer::new(snap)
+            Scorer::new(snap).expect("valid snapshot")
         };
 
         // Valid: aligned, finite, catalogued materials.
@@ -826,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn load_negotiates_backing_on_header_version() {
+    fn load_maps_v2_files_and_copies_v1_files() {
         let snap = snapshot();
 
         let v1_path = temp_path("negotiate_v1");
@@ -834,33 +682,40 @@ mod tests {
         let v1 = Scorer::load(&v1_path).expect("load v1");
         assert_eq!(v1.format(), SnapshotFormat::V1);
         assert!(!v1.mapped());
+        assert_eq!(v1.loader(), "heap");
 
         let v2_path = temp_path("negotiate_v2");
         snap.save_as(&v2_path, SnapshotFormat::V2).expect("save v2");
         let v2 = Scorer::load(&v2_path).expect("load v2");
         assert_eq!(v2.format(), SnapshotFormat::V2);
-        assert_eq!(v2.mapped(), cfg!(target_endian = "little"));
-        if v2.mapped() {
-            assert_eq!(v2.loader(), "mmap");
-        }
+        assert!(v2.mapped());
+        assert_eq!(v2.loader(), "mmap");
 
-        // Forced heap load of the same v2 file: still v2, never mapped.
-        let v2h = Scorer::load_heap(&v2_path).expect("heap load v2");
-        assert_eq!(v2h.format(), SnapshotFormat::V2);
-        assert!(!v2h.mapped());
-
-        // All three answer identically.
-        for s in [&v2, &v2h] {
-            assert_eq!(s.describe(), v1.describe());
-            assert_eq!(s.top_k(10).to_vec(), v1.top_k(10).to_vec());
+        // All three (with the in-memory scorer) answer identically.
+        let mem = scorer();
+        for s in [&v1, &v2] {
+            assert_eq!(s.describe(), mem.describe());
+            assert_eq!(s.top_k(10).to_vec(), mem.top_k(10).to_vec());
             for pipe in [PipeId(0), PipeId(57), PipeId(10_000)] {
-                assert_eq!(s.risk_of(pipe), v1.risk_of(pipe));
+                assert_eq!(s.risk_of(pipe), mem.risk_of(pipe));
             }
-            assert_eq!(s.ranking(), v1.ranking());
+            assert_eq!(s.ranking(), mem.ranking());
         }
 
         std::fs::remove_file(&v1_path).ok();
         std::fs::remove_file(&v2_path).ok();
+    }
+
+    #[test]
+    fn new_validates_like_the_file_loaders() {
+        let ranking = RiskRanking::new(vec![
+            RiskScore { pipe: PipeId(1), score: 0.5 },
+            RiskScore { pipe: PipeId(2), score: f64::NAN },
+        ]);
+        assert!(matches!(
+            Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking)),
+            Err(SnapshotError::NonFiniteScore(_))
+        ));
     }
 
     #[test]

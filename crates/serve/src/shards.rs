@@ -438,7 +438,7 @@ mod tests {
                 .map(|&(pipe, score)| RiskScore { pipe: PipeId(pipe), score })
                 .collect(),
         );
-        Scorer::new(Snapshot::new("DPMHBP", region, 7, &ranking))
+        Scorer::new(Snapshot::new("DPMHBP", region, 7, &ranking)).expect("valid snapshot")
     }
 
     #[test]

@@ -1,4 +1,4 @@
-// Raw syscall shims for the serve layer: epoll, poll, and a
+// Raw syscall shims for the serve layer: epoll, poll, mmap, and a
 // SO_REUSEADDR-before-bind listener. The workspace's dependency policy
 // rules out libc/nix/mio, but std already links libc on every supported
 // platform, so `extern "C"` declarations of the handful of calls we need
@@ -304,28 +304,33 @@ mod mmap_ffi {
     }
 }
 
-/// A read-only, privately mapped view of a whole file, created with raw
-/// `mmap` and released with `munmap` on drop. The mapping outlives the fd
-/// (the file is closed as soon as the map exists) and survives a
-/// rename-over of its path — the pages belong to the *inode* — which is
-/// exactly what the hot-reload publish protocol needs: the old snapshot's
-/// mapping stays valid until the last `Arc` holding it drops, while new
-/// loads map the fresh inode.
+/// Validated-snapshot bytes held one of two ways: a read-only, privately
+/// mapped view of a whole file (raw `mmap`, released with `munmap` on
+/// drop), or an owned 8-byte-aligned heap copy (backed by `Vec<u64>`).
+/// Readers see the same `&[u8]` either way.
 ///
-/// The base address is page-aligned by the kernel, so 8-byte-aligned
-/// offsets within the file are 8-byte-aligned in memory — the invariant
-/// the zero-copy column readers in `scorer` rely on.
-#[cfg(unix)]
+/// A mapping outlives the fd (the file is closed as soon as the map
+/// exists) and survives a rename-over of its path — the pages belong to
+/// the *inode* — which is exactly what the hot-reload publish protocol
+/// needs: the old snapshot's mapping stays valid until the last `Arc`
+/// holding it drops, while new loads map the fresh inode.
+///
+/// Both bases are at least 8-byte-aligned (page-aligned by the kernel, or
+/// `u64`-aligned by the allocator), so 8-byte-aligned offsets within the
+/// bytes are 8-byte-aligned in memory — the invariant the zero-copy column
+/// readers in `scorer` rely on.
 pub(crate) struct Mapping {
-    ptr: *mut std::os::raw::c_void,
+    ptr: *const u8,
     len: usize,
+    /// The heap copy `ptr` points into; `None` for a kernel mapping.
+    owned: Option<Vec<u64>>,
 }
 
-#[cfg(unix)]
 impl Mapping {
     /// Map the file at `path` read-only in its entirety. Zero-length files
     /// yield an empty mapping without calling `mmap` (which rejects
     /// `len == 0`).
+    #[cfg(unix)]
     pub fn map_path(path: &std::path::Path) -> io::Result<Self> {
         use std::os::unix::io::AsRawFd;
         let file = std::fs::File::open(path)?;
@@ -333,7 +338,7 @@ impl Mapping {
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file exceeds address space"))?;
         if len == 0 {
-            return Ok(Mapping { ptr: std::ptr::null_mut(), len: 0 });
+            return Ok(Mapping { ptr: std::ptr::null(), len: 0, owned: None });
         }
         // SAFETY: plain syscall; the kernel picks the address. The fd is
         // valid for the duration of the call, and the mapping is
@@ -351,90 +356,69 @@ impl Mapping {
         if ptr as isize == -1 {
             return Err(io::Error::last_os_error());
         }
-        Ok(Mapping { ptr, len })
+        Ok(Mapping { ptr: ptr as *const u8, len, owned: None })
     }
 
-    /// The mapped bytes.
-    pub fn bytes(&self) -> &[u8] {
-        if self.len == 0 {
-            return &[];
-        }
-        // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len` bytes
-        // that we own until drop. MAP_PRIVATE means no other process can
-        // mutate our view.
-        unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-    }
-}
-
-// SAFETY: the mapping is immutable (PROT_READ | MAP_PRIVATE) and owned;
-// sharing references across threads is no different from sharing a
-// `&[u8]`.
-#[cfg(unix)]
-unsafe impl Send for Mapping {}
-#[cfg(unix)]
-unsafe impl Sync for Mapping {}
-
-#[cfg(unix)]
-impl Drop for Mapping {
-    fn drop(&mut self) {
-        if self.len > 0 {
-            // SAFETY: `ptr`/`len` describe a mapping we created and have
-            // not unmapped before; after this the struct is gone.
-            unsafe { mmap_ffi::munmap(self.ptr, self.len) };
-        }
-    }
-}
-
-#[cfg(unix)]
-impl std::fmt::Debug for Mapping {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mapping").field("len", &self.len).finish()
-    }
-}
-
-/// Non-unix fallback: read the file into an 8-byte-aligned heap buffer
-/// (backed by `Vec<u64>`), preserving the alignment guarantee the column
-/// readers rely on. No page-cache sharing, but identical semantics.
-#[cfg(not(unix))]
-#[derive(Debug)]
-pub(crate) struct Mapping {
-    buf: Vec<u64>,
-    len: usize,
-}
-
-#[cfg(not(unix))]
-impl Mapping {
+    /// Without `mmap`, read the file into an owned aligned copy: no
+    /// page-cache sharing, identical semantics.
+    #[cfg(not(unix))]
     pub fn map_path(path: &std::path::Path) -> io::Result<Self> {
-        let bytes = std::fs::read(path)?;
+        Ok(Self::copy_of(&std::fs::read(path)?))
+    }
+
+    /// An owned 8-byte-aligned copy of `bytes`.
+    pub fn copy_of(bytes: &[u8]) -> Self {
         let mut buf = vec![0u64; bytes.len().div_ceil(8)];
         // SAFETY: u64 buffer reinterpreted as bytes; lengths match.
         let dst = unsafe {
             std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, buf.len() * 8)
         };
-        dst[..bytes.len()].copy_from_slice(&bytes);
-        Ok(Mapping { buf, len: bytes.len() })
+        dst[..bytes.len()].copy_from_slice(bytes);
+        // Moving the Vec into the struct keeps its heap buffer in place.
+        Mapping { ptr: buf.as_ptr() as *const u8, len: bytes.len(), owned: Some(buf) }
     }
 
+    /// True for a kernel file mapping, false for an owned copy.
+    pub fn is_mapped(&self) -> bool {
+        self.owned.is_none()
+    }
+
+    /// The held bytes.
     pub fn bytes(&self) -> &[u8] {
-        // SAFETY: the u64 buffer holds at least `len` initialized bytes.
-        unsafe { std::slice::from_raw_parts(self.buf.as_ptr() as *const u8, self.len) }
+        if self.len == 0 {
+            return &[];
+        }
+        // SAFETY: `ptr` addresses `len` initialized bytes that we own until
+        // drop: a live PROT_READ | MAP_PRIVATE mapping (no other process
+        // can mutate our view) or the never-mutated `owned` buffer.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
-// ---------------------------------------------------------------------------
-// EINTR-safe blocking reads
-// ---------------------------------------------------------------------------
+// SAFETY: `ptr`/`len` address bytes nothing ever writes — a PROT_READ
+// private mapping this value alone unmaps, or `owned`, a plain `Vec<u64>`
+// never touched after construction — so moving the value or sharing
+// `&Mapping` across threads is no different from sharing a `&[u8]`.
+unsafe impl Send for Mapping {}
+unsafe impl Sync for Mapping {}
 
-/// `read` that retries on `EINTR`. std's `write_all` already retries
-/// interrupted writes internally, but a bare `read` surfaces `EINTR` to
-/// the caller — which, in a connection loop, used to tear down a healthy
-/// connection when a signal landed mid-read.
-pub(crate) fn read_retry<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    loop {
-        match r.read(buf) {
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            other => return other,
+impl Drop for Mapping {
+    fn drop(&mut self) {
+        #[cfg(unix)]
+        if self.owned.is_none() && self.len > 0 {
+            // SAFETY: `ptr`/`len` describe a mapping we created and have
+            // not unmapped before; after this the struct is gone.
+            unsafe { mmap_ffi::munmap(self.ptr as *mut std::os::raw::c_void, self.len) };
         }
+    }
+}
+
+impl std::fmt::Debug for Mapping {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Mapping")
+            .field("len", &self.len)
+            .field("mapped", &self.is_mapped())
+            .finish()
     }
 }
 
@@ -533,16 +517,16 @@ where
     Ok(())
 }
 
-// Non-unix fallback: no `poll`, so approximate the deadline with socket
-// timeouts on a *blocking* socket. Only compiled on platforms the
-// workspace doesn't target for production serving.
+// Non-unix fallback: no `poll`, so the deadline is not enforced. Serving
+// (and so federation) is Linux-only; this only keeps the crate building
+// elsewhere.
 #[cfg(not(unix))]
 pub(crate) fn read_deadline<S: Read>(
     stream: &mut S,
     buf: &mut [u8],
     _deadline: Instant,
 ) -> io::Result<usize> {
-    read_retry(stream, buf)
+    stream.read(buf)
 }
 
 #[cfg(not(unix))]
@@ -639,6 +623,13 @@ mod tests {
         let map = Mapping::map_path(&path).expect("map");
         assert_eq!(map.bytes(), &payload[..]);
         assert_eq!(map.bytes().as_ptr() as usize % 8, 0, "base must be 8-aligned");
+        assert!(map.is_mapped());
+
+        // An owned copy of an odd length holds the same bytes, aligned.
+        let copy = Mapping::copy_of(&payload[..payload.len() - 3]);
+        assert_eq!(copy.bytes(), &payload[..payload.len() - 3]);
+        assert_eq!(copy.bytes().as_ptr() as usize % 8, 0, "copy must be 8-aligned");
+        assert!(!copy.is_mapped());
 
         // Rename a new file over the mapped one: the mapping still sees the
         // old inode's bytes — the atomic-publish property reload relies on.

@@ -1,8 +1,7 @@
 //! Live-socket e2e battery for the declarative `POST /aggregate` engine:
 //!
-//! * a monolithic server, a one-shard sharded server over the same
-//!   snapshot, and (on Linux) both connection cores answer the same
-//!   pipeline **byte-identically**;
+//! * a monolithic server and a one-shard sharded server over the same
+//!   snapshot answer the same pipeline **byte-identically**;
 //! * a multi-shard server's grouped body matches a hand-computed
 //!   reference exactly, and `?partial=1` answers the merge-ready wire
 //!   partial;
@@ -45,7 +44,7 @@ fn attr_snapshot(region: &str, n: u32, base: f64) -> Snapshot {
 }
 
 fn attr_scorer(region: &str, n: u32, base: f64) -> Scorer {
-    Scorer::new(attr_snapshot(region, n, base))
+    Scorer::new(attr_snapshot(region, n, base)).expect("valid snapshot")
 }
 
 fn server_config() -> ServerConfig {
@@ -88,35 +87,6 @@ fn monolithic_and_single_shard_answer_byte_identically() {
     one_shard.shutdown();
 }
 
-#[cfg(target_os = "linux")]
-#[test]
-fn both_connection_cores_answer_byte_identically() {
-    use pipefail_serve::HttpCore;
-    let mut config = server_config();
-    config.core = HttpCore::Epoll;
-    let epoll = serve(
-        Arc::new(ServeContext::new(attr_scorer("Region A", 40, 1.0))),
-        &config,
-    )
-    .expect("epoll server starts");
-    config.core = HttpCore::Threads;
-    let threaded = serve(
-        Arc::new(ServeContext::new(attr_scorer("Region A", 40, 1.0))),
-        &config,
-    )
-    .expect("threaded server starts");
-
-    for body in [GROUP_SPEC, "{]", "{\"group_by\":[\"region\"]}"] {
-        let a = post_once(epoll.addr(), "/aggregate", body);
-        let b = post_once(threaded.addr(), "/aggregate", body);
-        assert_eq!(a.status, b.status, "{body}: {} vs {}", a.body, b.body);
-        assert_eq!(a.body, b.body, "cores drifted on {body}");
-    }
-
-    epoll.shutdown();
-    threaded.shutdown();
-}
-
 #[test]
 fn multi_shard_grouping_matches_the_hand_computed_reference() {
     // Two shards, two pipes each, scores and attributes chosen so every
@@ -136,7 +106,7 @@ fn multi_shard_grouping_matches_the_hand_computed_reference() {
             vec![0.0, 0.0],
             vec![1940.0, 1940.0],
         ));
-        Scorer::new(snap)
+        Scorer::new(snap).expect("valid snapshot")
     };
     let server = sharded(vec![mk("Region A", [1.0, 0.5]), mk("Region B", [0.75, 0.25])]);
 
@@ -180,7 +150,7 @@ fn budget_selects_descending_risk_across_shards_and_stops_at_first_overflow() {
             vec![0.0, 0.0],
             vec![1940.0, 1940.0],
         ));
-        Scorer::new(snap)
+        Scorer::new(snap).expect("valid snapshot")
     };
     let server = sharded(vec![
         mk("Region A", [0.9, 0.7], 10.0),
@@ -245,13 +215,10 @@ fn snapshots_without_attributes_refuse_attribute_pipelines_but_serve_region_ones
             .map(|i| RiskScore { pipe: PipeId(i), score: 1.0 - f64::from(i) / 5.0 })
             .collect(),
     );
-    let bare = serve(
-        Arc::new(ServeContext::new(Scorer::new(Snapshot::new(
-            "DPMHBP", "Region A", 7, &ranking,
-        )))),
-        &server_config(),
-    )
-    .expect("server starts");
+    let bare_scorer =
+        Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking)).expect("valid snapshot");
+    let bare =
+        serve(Arc::new(ServeContext::new(bare_scorer)), &server_config()).expect("server starts");
 
     let needy = post_once(bare.addr(), "/aggregate", GROUP_SPEC);
     assert_eq!(needy.status, 400, "{}", needy.body);

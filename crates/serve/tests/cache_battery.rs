@@ -7,8 +7,7 @@
 //! * `ETag` round trips: a conditional GET with the returned validator is
 //!   a `304` with an empty body, and `HEAD` answers the GET's headers
 //!   (including `Content-Length` and `ETag`) without writing body bytes —
-//!   on BOTH connection cores, proven by keep-alive framing staying
-//!   aligned;
+//!   proven by keep-alive framing staying aligned;
 //! * invalidation under churn: keep-alive clients drive repeated queries
 //!   through an atomic snapshot rename and a corrupt-swap degrade → heal;
 //!   once a new ranking (or the degraded 503) is observed, no stale-epoch
@@ -30,8 +29,8 @@ use pipefail_network::ids::PipeId;
 use pipefail_par::TaskPool;
 use pipefail_serve::http::render_top_k;
 use pipefail_serve::{
-    serve, serve_federated, FedConfig, Federation, HttpCore, Scorer, ServeContext,
-    ServerConfig, ServerHandle, ShardSet,
+    serve, serve_federated, FedConfig, Federation, Scorer, ServeContext, ServerConfig,
+    ServerHandle, ShardSet,
 };
 use proptest::prelude::*;
 use std::net::SocketAddr;
@@ -63,7 +62,7 @@ fn snapshot(region: &str, n: u32, base: f64) -> Snapshot {
 }
 
 fn scorer(region: &str, n: u32, base: f64) -> Scorer {
-    Scorer::new(snapshot(region, n, base))
+    Scorer::new(snapshot(region, n, base)).expect("valid snapshot")
 }
 
 /// Enough workers that keep-alive clients and federation pools never
@@ -225,64 +224,62 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ETag / 304 / HEAD on both connection cores.
+// ETag / 304 / HEAD.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn etag_conditional_gets_and_head_answer_on_both_cores() {
-    for core in [HttpCore::Threads, HttpCore::Epoll] {
-        let handle = serve(
-            Arc::new(ServeContext::new(scorer("Region A", 50, 1.0))),
-            &ServerConfig { core, workers: 4, ..ServerConfig::default() },
-        )
-        .expect("server starts");
-        let addr = handle.addr();
+fn etag_conditional_gets_and_head_answer() {
+    let handle = serve(
+        Arc::new(ServeContext::new(scorer("Region A", 50, 1.0))),
+        &ServerConfig { workers: 4, ..ServerConfig::default() },
+    )
+    .expect("server starts");
+    let addr = handle.addr();
 
-        // A cacheable GET carries a validator.
-        let full = get_once(addr, "/top?k=7");
-        assert_eq!(full.status, 200, "{core:?}: {}", full.body);
-        let etag = full.header("etag").expect("cacheable GET must carry ETag").to_string();
-        assert!(etag.starts_with('"') && etag.ends_with('"'), "opaque quoted ETag: {etag}");
+    // A cacheable GET carries a validator.
+    let full = get_once(addr, "/top?k=7");
+    assert_eq!(full.status, 200, "{}", full.body);
+    let etag = full.header("etag").expect("cacheable GET must carry ETag").to_string();
+    assert!(etag.starts_with('"') && etag.ends_with('"'), "opaque quoted ETag: {etag}");
 
-        // Conditional GET with the validator: 304, empty body, same tag.
-        let not_modified = request_once(addr, &get_if_none_match("/top?k=7", &etag, false));
-        assert_eq!(not_modified.status, 304, "{core:?}");
-        assert_eq!(not_modified.body, "", "{core:?}: 304 must not carry a body");
-        assert_eq!(not_modified.header("etag"), Some(etag.as_str()), "{core:?}");
-        // A different validator is a full 200.
-        let miss = request_once(addr, &get_if_none_match("/top?k=7", "\"deadbeef\"", false));
-        assert_eq!(miss.status, 200, "{core:?}");
-        assert_eq!(miss.body, full.body, "{core:?}");
+    // Conditional GET with the validator: 304, empty body, same tag.
+    let not_modified = request_once(addr, &get_if_none_match("/top?k=7", &etag, false));
+    assert_eq!(not_modified.status, 304);
+    assert_eq!(not_modified.body, "", "304 must not carry a body");
+    assert_eq!(not_modified.header("etag"), Some(etag.as_str()));
+    // A different validator is a full 200.
+    let miss = request_once(addr, &get_if_none_match("/top?k=7", "\"deadbeef\"", false));
+    assert_eq!(miss.status, 200);
+    assert_eq!(miss.body, full.body);
 
-        // HEAD answers the GET's headers without body bytes. Framing is
-        // proven by the SAME keep-alive connection serving a strict GET
-        // right after: any stray body bytes would desync it.
-        let mut conn = Conn::connect(addr);
-        conn.send(&head_request("/top?k=7", true));
-        let head = conn.read_head_response();
-        assert_eq!(head.status, 200, "{core:?}");
-        assert_eq!(
-            head.header("content-length"),
-            Some(full.body.len().to_string().as_str()),
-            "{core:?}: HEAD must advertise the GET body length"
-        );
-        assert_eq!(head.header("etag"), Some(etag.as_str()), "{core:?}");
-        let after = conn.get("/top?k=7");
-        assert_eq!(after.status, 200, "{core:?}");
-        assert_eq!(after.body, full.body, "{core:?}: keep-alive desync after HEAD");
+    // HEAD answers the GET's headers without body bytes. Framing is
+    // proven by the SAME keep-alive connection serving a strict GET
+    // right after: any stray body bytes would desync it.
+    let mut conn = Conn::connect(addr);
+    conn.send(&head_request("/top?k=7", true));
+    let head = conn.read_head_response();
+    assert_eq!(head.status, 200);
+    assert_eq!(
+        head.header("content-length"),
+        Some(full.body.len().to_string().as_str()),
+        "HEAD must advertise the GET body length"
+    );
+    assert_eq!(head.header("etag"), Some(etag.as_str()));
+    let after = conn.get("/top?k=7");
+    assert_eq!(after.status, 200);
+    assert_eq!(after.body, full.body, "keep-alive desync after HEAD");
 
-        // HEAD of an unknown path is a headers-only 404, not a hang.
-        conn.send(&head_request("/nope", true));
-        let missing = conn.read_head_response();
-        assert_eq!(missing.status, 404, "{core:?}");
-        // HEAD of a POST-only route stays a (headers-only) 405.
-        conn.send(&head_request("/aggregate", true));
-        assert_eq!(conn.read_head_response().status, 405, "{core:?}");
-        // The connection is still aligned.
-        assert_eq!(conn.get("/top?k=7").body, full.body, "{core:?}");
+    // HEAD of an unknown path is a headers-only 404, not a hang.
+    conn.send(&head_request("/nope", true));
+    let missing = conn.read_head_response();
+    assert_eq!(missing.status, 404);
+    // HEAD of a POST-only route stays a (headers-only) 405.
+    conn.send(&head_request("/aggregate", true));
+    assert_eq!(conn.read_head_response().status, 405);
+    // The connection is still aligned.
+    assert_eq!(conn.get("/top?k=7").body, full.body);
 
-        handle.shutdown();
-    }
+    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -307,9 +304,9 @@ fn no_stale_epoch_body_across_rename_reload_and_degrade_heal() {
     let ref_a1 = render_top_k(&set.get("region_a").expect("region_a").last_good(), 5);
     let ref_b = render_top_k(&set.get("region_b").expect("region_b").last_good(), 5);
     let replacement = snapshot("Region A", 25, 6.0);
-    let ref_a2 = render_top_k(&Scorer::new(replacement.clone()), 5);
+    let ref_a2 = render_top_k(&Scorer::new(replacement.clone()).expect("valid snapshot"), 5);
     let healed = snapshot("Region A", 25, 9.0);
-    let ref_a3 = render_top_k(&Scorer::new(healed.clone()), 5);
+    let ref_a3 = render_top_k(&Scorer::new(healed.clone()).expect("valid snapshot"), 5);
     assert_ne!(ref_a1, ref_a2);
     assert_ne!(ref_a2, ref_a3);
 

@@ -1,17 +1,17 @@
-//! Epoll-core battery: the event-driven connection core must be
-//! *observably indistinguishable* from the thread-per-connection core.
+//! Epoll-core battery: what the event-driven connection core answers must
+//! not depend on how the client's bytes are scheduled.
 //!
-//! The proptest drives one client connection against two live servers —
-//! identical scorers, one per [`HttpCore`] — writing the same pipelined
-//! request stream under arbitrary partial-write schedules (chunk sizes
-//! down to one byte, with pauses) and reading the response stream back
-//! under arbitrary partial-read schedules. The two byte streams must be
+//! The proptest writes a pipelined request stream to a live server under
+//! arbitrary partial-write schedules (chunk sizes down to one byte, with
+//! pauses) and reads the response stream back under arbitrary
+//! partial-read schedules, then sends the same stream to the same server
+//! in one write and reads it to EOF. The two byte streams must be
 //! **identical to the last byte**: same status lines, same headers, same
-//! framing, same close behaviour. Deterministic companions pin the
-//! admission-control protocol: at the connection cap the longest-idle
-//! keep-alive connection is shed first (quiet close, counted), and only
-//! when nothing is sheddable does a new client get `429` +
-//! `Retry-After` + close.
+//! framing, same close behaviour. Deterministic companions pin the exact
+//! typed-error bytes for broken framing and the admission-control
+//! protocol: at the connection cap the longest-idle keep-alive connection
+//! is shed first (quiet close, counted), and only when nothing is
+//! sheddable does a new client get `429` + `Retry-After` + close.
 #![cfg(target_os = "linux")]
 
 mod common;
@@ -20,7 +20,7 @@ use common::Conn;
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::Snapshot;
 use pipefail_network::ids::PipeId;
-use pipefail_serve::{serve, HttpCore, Scorer, ServeContext, ServerConfig, ServerHandle};
+use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig, ServerHandle};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -30,7 +30,7 @@ use std::time::Duration;
 
 /// 1000 pipes with strictly decreasing scores — big enough that
 /// `/top?k=1000` yields a multi-kilobyte body (so server-side writes can
-/// go partial), small and deterministic so both servers agree exactly.
+/// go partial), small and deterministic.
 fn scorer() -> Scorer {
     let n = 1000u32;
     let ranking = RiskRanking::new(
@@ -38,20 +38,19 @@ fn scorer() -> Scorer {
             .map(|i| RiskScore { pipe: PipeId(i), score: 1.0 - f64::from(i) / f64::from(n) })
             .collect(),
     );
-    Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking))
+    Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking)).expect("valid snapshot")
 }
 
-fn start(core: HttpCore, max_connections: usize) -> ServerHandle {
+fn start(max_connections: usize) -> ServerHandle {
     serve(
         Arc::new(ServeContext::new(scorer())),
-        &ServerConfig { core, max_connections, ..ServerConfig::default() },
+        &ServerConfig { max_connections, ..ServerConfig::default() },
     )
     .expect("server start")
 }
 
-/// The request repertoire the identity proptest samples from. `/metrics`
-/// is deliberately absent: its body is the one thing the two servers
-/// legitimately disagree on (each carries its own counters).
+/// The request repertoire the schedule proptest samples from. `/metrics`
+/// is deliberately absent: its body changes with every request served.
 const REQUESTS: &[(&str, &str, &str)] = &[
     ("GET", "/health", ""),
     ("GET", "/top?k=3", ""),
@@ -124,19 +123,17 @@ fn exchange(addr: SocketAddr, stream: &[u8], write_chunks: &[usize], read_chunks
     out
 }
 
-/// One epoll server and one threaded server shared by every proptest
-/// case (leaked for the test binary's lifetime — starting 2 servers per
-/// case would dominate the property's runtime).
-static CORE_ADDRS: OnceLock<(SocketAddr, SocketAddr)> = OnceLock::new();
+/// One server shared by every proptest case (leaked for the test binary's
+/// lifetime — starting a server per case would dominate the property's
+/// runtime).
+static SERVER_ADDR: OnceLock<SocketAddr> = OnceLock::new();
 
-fn core_addrs() -> (SocketAddr, SocketAddr) {
-    *CORE_ADDRS.get_or_init(|| {
-        let epoll = start(HttpCore::Epoll, 0);
-        let threaded = start(HttpCore::Threads, 0);
-        let pair = (epoll.addr(), threaded.addr());
-        std::mem::forget(epoll);
-        std::mem::forget(threaded);
-        pair
+fn server_addr() -> SocketAddr {
+    *SERVER_ADDR.get_or_init(|| {
+        let server = start(0);
+        let addr = server.addr();
+        std::mem::forget(server);
+        addr
     })
 }
 
@@ -144,38 +141,42 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole invariant: for any request sequence and any
-    /// client-side fragmentation schedule, the epoll core and the
-    /// threaded core answer with **identical byte streams**.
+    /// client-side fragmentation schedule, the server answers with the
+    /// **same byte stream** it gives the stream written in one call.
     #[test]
-    fn cores_answer_byte_identically_under_arbitrary_schedules(
+    fn fragmented_exchanges_match_one_shot_writes_under_arbitrary_schedules(
         indices in proptest::collection::vec(0usize..REQUESTS.len(), 1..6),
         write_chunks in proptest::collection::vec(1usize..98, 1..24),
         read_chunks in proptest::collection::vec(1usize..1025, 1..8),
     ) {
-        let (ea, ta) = core_addrs();
+        let addr = server_addr();
         let stream = render_stream(&indices);
-        let from_epoll = exchange(ea, &stream, &write_chunks, &read_chunks);
-        let from_threads = exchange(ta, &stream, &write_chunks, &read_chunks);
+        let fragmented = exchange(addr, &stream, &write_chunks, &read_chunks);
+        let one_shot = exchange(addr, &stream, &[stream.len()], &[64 * 1024]);
         prop_assert_eq!(
-            String::from_utf8_lossy(&from_epoll),
-            String::from_utf8_lossy(&from_threads)
+            String::from_utf8_lossy(&fragmented),
+            String::from_utf8_lossy(&one_shot)
         );
     }
 }
 
-/// A malformed request must draw the same typed error + close from both
-/// cores — the error path is part of the byte-identity contract.
+/// A malformed request draws one exact typed `400` and a close: broken
+/// framing means the rest of the byte stream cannot be trusted to align
+/// with another request. (`exchange` reads to EOF, so the close is part
+/// of the assertion.)
 #[test]
-fn cores_answer_parse_errors_identically() {
-    let epoll = start(HttpCore::Epoll, 0);
-    let threaded = start(HttpCore::Threads, 0);
+fn parse_errors_answer_exact_typed_bytes_and_close() {
+    let server = start(0);
     let garbage = b"GET /health HTTP/9.9\r\nHost: t\r\n\r\n";
-    let a = exchange(epoll.addr(), garbage, &[1], &[7]);
-    let b = exchange(threaded.addr(), garbage, &[1], &[7]);
-    assert_eq!(String::from_utf8_lossy(&a), String::from_utf8_lossy(&b));
-    assert!(!a.is_empty(), "expected a typed error response, got silence");
-    epoll.shutdown();
-    threaded.shutdown();
+    let body = r#"{"error":"bad request line: \"GET /health HTTP/9.9\""}"#;
+    let expected = format!(
+        "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let out = exchange(server.addr(), garbage, &[1], &[7]);
+    assert_eq!(String::from_utf8_lossy(&out), expected);
+    server.shutdown();
 }
 
 /// Byte-at-a-time writes against the epoll core: the slowest possible
@@ -183,7 +184,7 @@ fn cores_answer_parse_errors_identically() {
 /// companion to the proptest, easier to debug when it fails).
 #[test]
 fn epoll_core_serves_byte_at_a_time_writes() {
-    let server = start(HttpCore::Epoll, 0);
+    let server = start(0);
     let stream = render_stream(&[0, 1, 4, 6]);
     let out = exchange(server.addr(), &stream, &[1], &[1]);
     let text = String::from_utf8_lossy(&out);
@@ -193,12 +194,12 @@ fn epoll_core_serves_byte_at_a_time_writes() {
 }
 
 /// At the connection cap the longest-idle keep-alive connection is shed
-/// (quiet close, `connections_shed_total` counted) so the newcomer gets
-/// service — idle clients lose a socket they weren't using, live clients
-/// lose nothing.
+/// (quiet close, `connections_shed_total` counted, the open-connection
+/// gauge tracking it) so the newcomer gets service — idle clients lose a
+/// socket they weren't using, live clients lose nothing.
 #[test]
 fn cap_sheds_longest_idle_connection_for_newcomer() {
-    let server = start(HttpCore::Epoll, 2);
+    let server = start(2);
     let addr = server.addr();
 
     let mut first = Conn::connect(addr);
@@ -214,6 +215,9 @@ fn cap_sheds_longest_idle_connection_for_newcomer() {
     let metrics = server.metrics();
     assert_eq!(metrics.connections_shed_total(), 1);
     assert_eq!(metrics.admission_rejected_total(), 0);
+    // The gauge counted the shed connection out and the newcomer in.
+    assert_eq!(metrics.connections_open(), 2);
+    assert_eq!(metrics.total(), 3);
 
     // The shed connection sees a quiet close: EOF, not an error response.
     first.assert_eof();
@@ -228,7 +232,7 @@ fn cap_sheds_longest_idle_connection_for_newcomer() {
 /// instead of silently starving the accept queue.
 #[test]
 fn cap_answers_429_when_nothing_is_sheddable() {
-    let server = start(HttpCore::Epoll, 1);
+    let server = start(1);
     let addr = server.addr();
 
     // Occupy the only slot with a connection stuck *mid-request*: it has
@@ -250,21 +254,5 @@ fn cap_answers_429_when_nothing_is_sheddable() {
     let metrics = server.metrics();
     assert_eq!(metrics.admission_rejected_total(), 1);
     assert_eq!(metrics.connections_shed_total(), 0);
-    server.shutdown();
-}
-
-/// The `core` knob really selects the threaded core: a keep-alive
-/// roundtrip pair works and the connection gauge tracks open sockets on
-/// both cores the same way.
-#[test]
-fn threads_core_still_selectable_and_counts_connections() {
-    let server = start(HttpCore::Threads, 0);
-    let mut conn = Conn::connect(server.addr());
-    assert_eq!(conn.get("/health").status, 200);
-    assert_eq!(conn.get("/top?k=2").status, 200);
-    let metrics = server.metrics();
-    assert_eq!(metrics.connections_open(), 1);
-    assert_eq!(metrics.total(), 2);
-    drop(conn);
     server.shutdown();
 }

@@ -52,7 +52,7 @@ fn snapshot(region: &str, n: u32, base: f64) -> Snapshot {
 }
 
 fn scorer(region: &str, n: u32, base: f64) -> Scorer {
-    Scorer::new(snapshot(region, n, base))
+    Scorer::new(snapshot(region, n, base)).expect("valid snapshot")
 }
 
 /// The same regional snapshot with a deterministic attributes section in
@@ -64,7 +64,7 @@ fn attr_scorer(region: &str, n: u32, base: f64) -> Scorer {
         (0..n).map(|i| f64::from(i % 9)).collect(),
         (0..n).map(|i| f64::from(1940 + (i % 4) * 10)).collect(),
     ));
-    Scorer::new(snap)
+    Scorer::new(snap).expect("valid snapshot")
 }
 
 /// One attribute-tagged backend serve process.
@@ -274,6 +274,7 @@ proptest! {
                     7,
                     &RiskRanking::new(table),
                 ))
+                .expect("valid snapshot")
             })
             .collect();
 

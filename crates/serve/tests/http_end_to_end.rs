@@ -126,7 +126,10 @@ fn fit_snapshot_serve_query_roundtrip() {
     assert!(text.contains("pipefail_requests{route=\"batch\"} 2"), "{text}");
     assert!(text.contains("pipefail_responses{status=\"4xx\"} 6"), "{text}");
     assert!(text.contains("pipefail_responses{status=\"5xx\"} 1"), "{text}");
-    assert!(text.contains("pipefail_request_latency_us_bucket{le=\"+Inf\"}"), "{text}");
+    assert!(
+        text.contains("pipefail_http_request_duration_seconds_bucket{route=\"top\",le=\"+Inf\"} 2"),
+        "{text}"
+    );
     let served: u64 = handle.metrics().total();
     assert!(served >= 10, "all requests observed: {served}");
 
@@ -161,7 +164,8 @@ fn concurrent_clients_all_get_consistent_answers() {
     let split = TrainTestSplit::paper_protocol();
     let mut model = Dpmhbp::new(DpmhbpConfig::fast());
     let ranking = model.fit_rank(&ds, &split, 3).expect("fit");
-    let scorer = Scorer::new(Snapshot::from_fit(&model, ds.name(), 3, &ranking));
+    let scorer =
+        Scorer::new(Snapshot::from_fit(&model, ds.name(), 3, &ranking)).expect("valid snapshot");
     let reference = render_top_k(&scorer, 5);
 
     let handle = serve(
@@ -192,7 +196,8 @@ fn request_timeout_cuts_off_stalled_clients() {
         "R",
         0,
         &pipefail_core::model::RiskRanking::new(vec![]),
-    ));
+    ))
+    .expect("valid snapshot");
     let handle = serve(
         Arc::new(ServeContext::new(scorer)),
         &ServerConfig {
@@ -276,7 +281,8 @@ fn rejects_nonpositive_timeout_config() {
         "r",
         0,
         &pipefail_core::model::RiskRanking::new(vec![]),
-    ));
+    ))
+    .expect("valid snapshot");
     let bad = ServerConfig { request_timeout_secs: 0.0, ..ServerConfig::default() };
     assert!(serve(Arc::new(ServeContext::new(scorer)), &bad).is_err());
 }

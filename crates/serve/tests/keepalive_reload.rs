@@ -37,7 +37,7 @@ fn snapshot(n: u32, base: f64, seed: u64) -> Snapshot {
 }
 
 fn scorer(n: u32, base: f64, seed: u64) -> Scorer {
-    Scorer::new(snapshot(n, base, seed))
+    Scorer::new(snapshot(n, base, seed)).expect("valid snapshot")
 }
 
 /// Temp file path unique to this test process.
@@ -168,7 +168,7 @@ fn hot_reload_swaps_ranking_mid_stream_with_zero_failed_requests() {
 
     let reference_a = render_top_k(&Scorer::load(&path).expect("load A"), 5);
     let snapshot_b = snapshot(40, 9.0, 1); // different scores AND pipe order
-    let reference_b = render_top_k(&Scorer::new(snapshot_b.clone()), 5);
+    let reference_b = render_top_k(&Scorer::new(snapshot_b.clone()).expect("valid snapshot"), 5);
     assert_ne!(reference_a, reference_b, "the swap must be observable");
 
     let scorer_a = Scorer::load(&path).expect("load snapshot");
@@ -267,7 +267,7 @@ fn corrupt_replacement_is_rejected_and_the_old_scorer_keeps_serving() {
     // A subsequent *valid* replacement still goes live: rejection does not
     // wedge the watcher.
     let recovery = snapshot(25, 5.0, 1);
-    let reference_recovery = render_top_k(&Scorer::new(recovery.clone()), 5);
+    let reference_recovery = render_top_k(&Scorer::new(recovery.clone()).expect("valid snapshot"), 5);
     recovery.save(&path).expect("save recovery snapshot");
     let deadline = Instant::now() + Duration::from_secs(10);
     while metrics.reloads_total() == 0 {

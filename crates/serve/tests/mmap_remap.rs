@@ -1,8 +1,7 @@
 //! Remap-under-load regression battery: replacing a **memory-mapped** v2
 //! snapshot by atomic rename while keep-alive clients are mid-stream must
 //! lose zero requests — every poll answers `200` with one complete,
-//! consistent ranking (old or new, never a blend) — on **both** connection
-//! cores. And the old mapping must be torn down cleanly: it stays valid
+//! consistent ranking (old or new, never a blend). And the old mapping must be torn down cleanly: it stays valid
 //! (inode-backed) for as long as any in-flight request can hold the old
 //! scorer, then actually disappears from the address space once the last
 //! `Arc<Scorer>` drops — no use-after-unmap, no mapping leak.
@@ -14,7 +13,7 @@ use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::{Snapshot, SnapshotFormat};
 use pipefail_network::ids::PipeId;
 use pipefail_serve::http::render_top_k;
-use pipefail_serve::{serve, HttpCore, Scorer, ServeContext, ServerConfig};
+use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,31 +47,29 @@ fn publish(snap: &Snapshot, path: &PathBuf) {
 
 /// Does `/proc/self/maps` still hold a mapping of `path` (live or
 /// renamed-over, which the kernel reports with a ` (deleted)` suffix)?
-#[cfg(target_os = "linux")]
 fn is_mapped(path: &std::path::Path) -> bool {
     let maps = std::fs::read_to_string("/proc/self/maps").expect("read /proc/self/maps");
     let needle = path.to_str().expect("utf8 temp path");
     maps.lines().any(|l| l.contains(needle))
 }
 
-/// The core scenario, parameterized over the connection core: three
-/// keep-alive clients poll `/top` through an atomic-rename replacement of
-/// the mapped snapshot; every response must be a complete old or new
-/// ranking; afterwards all clients converge on the new one.
-fn remap_under_load(core: HttpCore, tag: &str) {
-    let path = temp_path(&format!("swap_{tag}.pfsnap"));
+/// Three keep-alive clients poll `/top` through an atomic-rename
+/// replacement of the mapped snapshot; every response must be a complete
+/// old or new ranking; afterwards all clients converge on the new one.
+#[test]
+fn remap_under_load_loses_zero_requests() {
+    let path = temp_path("swap.pfsnap");
     let snap_a = snapshot(400, 1.0, 0);
     let snap_b = snapshot(400, 9.0, 1); // different scores AND pipe order
     publish(&snap_a, &path);
 
     let scorer = Scorer::load(&path).expect("v2 load");
-    assert_eq!(scorer.mapped(), cfg!(target_endian = "little"));
+    assert!(scorer.mapped());
     let reference_a = render_top_k(&scorer, 12);
-    let reference_b = render_top_k(&Scorer::new(snap_b.clone()), 12);
+    let reference_b = render_top_k(&Scorer::new(snap_b.clone()).expect("valid snapshot"), 12);
     assert_ne!(reference_a, reference_b, "the swap must be observable");
 
     let config = ServerConfig {
-        core,
         reload_poll_secs: 0.05,
         snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
@@ -139,40 +136,24 @@ fn remap_under_load(core: HttpCore, tag: &str) {
     // Clean teardown: the watcher swapped the shard to the new mapping and
     // every client thread has joined, so nothing holds the old scorer; its
     // renamed-over (deleted-inode) mapping must leave the address space.
-    #[cfg(target_os = "linux")]
-    {
-        if cfg!(target_endian = "little") {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let maps = std::fs::read_to_string("/proc/self/maps").expect("maps");
-                let needle = path.to_str().expect("utf8 path");
-                let stale = maps
-                    .lines()
-                    .any(|l| l.contains(needle) && l.trim_end().ends_with("(deleted)"));
-                if !stale {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "old snapshot mapping never unmapped");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            // The *new* snapshot is still mapped and serving.
-            assert!(is_mapped(&path), "replacement snapshot must be mapped");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("maps");
+        let needle = path.to_str().expect("utf8 path");
+        let stale = maps
+            .lines()
+            .any(|l| l.contains(needle) && l.trim_end().ends_with("(deleted)"));
+        if !stale {
+            break;
         }
+        assert!(Instant::now() < deadline, "old snapshot mapping never unmapped");
+        std::thread::sleep(Duration::from_millis(10));
     }
+    // The *new* snapshot is still mapped and serving.
+    assert!(is_mapped(&path), "replacement snapshot must be mapped");
     assert_eq!(handle.metrics().reload_failures_total(), 0);
     handle.shutdown();
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn remap_under_load_loses_zero_requests_on_the_threaded_core() {
-    remap_under_load(HttpCore::Threads, "threads");
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn remap_under_load_loses_zero_requests_on_the_epoll_core() {
-    remap_under_load(HttpCore::Epoll, "epoll");
 }
 
 /// The inode-persistence property the whole reload design rests on: a
@@ -200,14 +181,10 @@ fn mapped_scorer_survives_rename_over_and_unlink() {
 /// Dropping the last `Scorer` really unmaps the snapshot — the Drop side
 /// of the zero-copy contract, asserted against the kernel's own map table.
 #[test]
-#[cfg(target_os = "linux")]
 fn dropping_the_last_scorer_unmaps_the_snapshot() {
     let path = temp_path("teardown.pfsnap");
     publish(&snapshot(300, 1.0, 0), &path);
     let scorer = Scorer::load(&path).expect("v2 load");
-    if !scorer.mapped() {
-        return; // big-endian fallback loads on the heap; nothing to assert
-    }
     assert!(is_mapped(&path), "a mapped scorer must appear in /proc/self/maps");
     drop(scorer);
     assert!(!is_mapped(&path), "dropping the last scorer must munmap the snapshot");

@@ -42,7 +42,7 @@ fn snapshot(region: &str, n: u32, base: f64) -> Snapshot {
 }
 
 fn scorer(region: &str, n: u32, base: f64) -> Scorer {
-    Scorer::new(snapshot(region, n, base))
+    Scorer::new(snapshot(region, n, base)).expect("valid snapshot")
 }
 
 /// Temp directory unique to this test process.
@@ -99,7 +99,8 @@ proptest! {
             "Everywhere",
             7,
             &RiskRanking::new(concatenated),
-        ));
+        ))
+        .expect("valid snapshot");
 
         let scorers: Vec<Scorer> = shard_tables
             .iter()
@@ -111,6 +112,7 @@ proptest! {
                     7,
                     &RiskRanking::new(table.clone()),
                 ))
+                .expect("valid snapshot")
             })
             .collect();
         let set = ShardSet::from_scorers(scorers).expect("distinct regions");
@@ -324,7 +326,7 @@ fn live_hot_swap_of_one_shard_never_affects_another() {
     let reference_a = render_top_k(&set.get("region_a").expect("region_a").last_good(), 5);
     let reference_b = render_top_k(&set.get("region_b").expect("region_b").last_good(), 5);
     let replacement = snapshot("Region A", 20, 9.0);
-    let reference_a2 = render_top_k(&Scorer::new(replacement.clone()), 5);
+    let reference_a2 = render_top_k(&Scorer::new(replacement.clone()).expect("valid snapshot"), 5);
     assert_ne!(reference_a, reference_a2, "the swap must be observable");
 
     let config = ServerConfig { reload_poll_secs: 0.05, ..ServerConfig::default() };

@@ -44,8 +44,8 @@ proptest! {
         let loaded = Snapshot::from_bytes(&snap.to_bytes()).expect("clean roundtrip");
         prop_assert_eq!(&loaded, &snap);
 
-        let before = Scorer::new(snap);
-        let after = Scorer::new(loaded);
+        let before = Scorer::new(snap).expect("valid snapshot");
+        let after = Scorer::new(loaded).expect("valid snapshot");
         for k in [1usize, 2, raw.len() / 2, raw.len(), raw.len() + 10] {
             let a = before.top_k(k);
             let b = after.top_k(k);
@@ -131,7 +131,7 @@ fn scorer_load_rejects_corrupt_file_on_disk() {
 #[test]
 fn batch_queries_match_single_queries() {
     let snap = snapshot_from(&[0.5, 0.25, 0.75, 0.1], 7);
-    let scorer = Scorer::new(snap);
+    let scorer = Scorer::new(snap).expect("valid snapshot");
     let queries = vec![Query::TopK(2), Query::Pipe(PipeId(1)), Query::Pipe(PipeId(99))];
     let batched = scorer.answer_batch(&queries, &TaskPool::new(4));
     assert_eq!(batched.len(), 3);

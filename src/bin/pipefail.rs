@@ -66,7 +66,7 @@ USAGE:
       ranking into a versioned snapshot file (see docs/SNAPSHOT_FORMAT.md).
       --format picks the encoding: v2 (default) is the aligned columnar
       layout the server memory-maps for O(ms) loads; v1 is the legacy
-      heap-parsed layout. Per-pipe attributes (length, material, laid year)
+      layout, which the server parses into an owned v2 copy. Per-pipe attributes (length, material, laid year)
       are embedded so the server can answer POST /aggregate pipelines (see
       docs/AGGREGATE.md).
   pipefail serve (--snapshot FILE [--snapshot FILE ...] | --snapshot-dir DIR
@@ -83,12 +83,11 @@ USAGE:
       PIPEFAIL_HTTP_IDLE_SECS, PIPEFAIL_HTTP_KEEPALIVE_REQS, and
       PIPEFAIL_HTTP_RELOAD_SECS (N > 0 polls every watched snapshot file
       every N seconds and hot-swaps shards independently); see
-      docs/SERVING.md. Connection-core knobs: PIPEFAIL_HTTP_CORE
-      (epoll|threads; the epoll event loop is the Linux default),
-      PIPEFAIL_HTTP_MAX_CONNS (open-connection cap, idle keep-alive
-      connections are shed first, 0 = unlimited) and
-      PIPEFAIL_HTTP_INFLIGHT (in-flight request cap answering 429 +
-      Retry-After, 0 = unbounded).
+      docs/SERVING.md. One epoll event loop drives every connection
+      (Linux only). Admission knobs: PIPEFAIL_HTTP_MAX_CONNS
+      (open-connection cap, idle keep-alive connections are shed first,
+      0 = unlimited) and PIPEFAIL_HTTP_INFLIGHT (in-flight request cap
+      answering 429 + Retry-After, 0 = unbounded).
       Repeated --backend flags start a *federation front-end* instead: no
       snapshots are loaded; region-tagged queries relay to the named
       backend serve processes over keep-alive TCP with health checks,
