@@ -104,7 +104,8 @@ pub const SNAPSHOT_VERSION_V2: u16 = 2;
 pub const HEADER_LEN: usize = 24;
 
 /// Which on-disk encoding to write. Both decode through
-/// [`Snapshot::from_bytes`], which negotiates on the header version.
+/// [`Snapshot::from_bytes`], which negotiates on the header version;
+/// [`Snapshot::save`] writes v2, and v1 remains readable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotFormat {
     /// Version 1: variable-width, heap-parsed.
@@ -121,15 +122,6 @@ impl SnapshotFormat {
         match self {
             SnapshotFormat::V1 => "v1",
             SnapshotFormat::V2 => "v2",
-        }
-    }
-
-    /// Parse a CLI-style label (`"v1"` / `"v2"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "v1" | "1" => Some(SnapshotFormat::V1),
-            "v2" | "2" => Some(SnapshotFormat::V2),
-            _ => None,
         }
     }
 
@@ -491,9 +483,10 @@ impl Snapshot {
         })
     }
 
-    /// Write atomically to `path` (via [`checkpoint::atomic_write`]).
+    /// Write atomically to `path` (via [`checkpoint::atomic_write`]) in
+    /// the v2 format the server maps.
     pub fn save(&self, path: &Path) -> Result<()> {
-        checkpoint::atomic_write(path, &self.to_bytes())
+        checkpoint::atomic_write(path, &self.to_bytes_v2())
     }
 
     /// Write atomically in the requested format.
@@ -1460,6 +1453,7 @@ mod tests {
         let path = dir.join("model.pfsnap");
         let snap = sample();
         snap.save(&path).expect("save");
+        assert_eq!(std::fs::read(&path).expect("read"), snap.to_bytes_v2(), "save writes v2");
         let back = Snapshot::load(&path).expect("load");
         assert_eq!(back, snap);
         assert!(Snapshot::load(&dir.join("absent.pfsnap")).is_err());
@@ -1765,10 +1759,7 @@ mod tests {
     }
 
     #[test]
-    fn format_labels_parse_and_negotiate() {
-        assert_eq!(SnapshotFormat::parse("v1"), Some(SnapshotFormat::V1));
-        assert_eq!(SnapshotFormat::parse("v2"), Some(SnapshotFormat::V2));
-        assert_eq!(SnapshotFormat::parse("v3"), None);
+    fn format_labels_and_versions_negotiate() {
         assert_eq!(SnapshotFormat::V2.label(), "v2");
         assert_eq!(SnapshotFormat::V1.version(), SNAPSHOT_VERSION);
         assert_eq!(SnapshotFormat::V2.version(), SNAPSHOT_VERSION_V2);

@@ -2,34 +2,35 @@
 //!
 //! Snapshots only change at discrete hot-reload epochs, so between swaps
 //! every `/top`, `/pipe`, and `/aggregate` answer is a pure function of
-//! `(epoch, normalized query)`. [`CachingHandler`] wraps either router
-//! ([`crate::http::LocalRouter`] or the federation front-end) behind the
-//! shared [`RequestHandler`] seam, so the connection core gets caching,
-//! `ETag`/`304` revalidation, and `HEAD` synthesis without knowing it
-//! exists.
+//! `(epoch, normalized query)`. The routers — the local one in
+//! [`crate::http`] and the federation front end — decide which state
+//! answers a request, read that state's epoch, and hand
+//! [`ResultCache::answer`] the key plus a closure that computes the
+//! response. This module knows no topology: it stores rendered bodies,
+//! coalesces identical misses, revalidates epochs at store time, and
+//! answers `304`s. The router does its own `/metrics` accounting, told
+//! by [`Answer`] whether its compute closure ran.
 //!
-//! **Correctness comes from epochs, not TTLs.** Every cache key embeds a
-//! state generation:
-//!
-//! * region-scoped queries key on that shard's [`crate::shards::Shard::epoch`]
-//!   — bumped by every swap *and* every degrade, so a hot-reload or a
-//!   corrupt-swap degrade retires exactly that shard's entries;
-//! * fleet-scoped artefacts (the global top-K merge, `/aggregate`) key on
-//!   [`crate::shards::ShardSet::fleet_epoch`] — any shard's change retires
-//!   them;
-//! * the federation front-end keys its merged artefacts on
-//!   [`crate::federation::Federation::generation`], which advances on
-//!   every backend health transition and every observed backend snapshot
-//!   epoch (carried in the `X-Pipefail-Epoch` response header and read by
-//!   the health prober), bounding staleness by the probe interval.
+//! **Correctness comes from epochs, not TTLs.** Every cache key embeds
+//! the state generation the router read for the request's scope: one
+//! shard's epoch for region-scoped queries (bumped by every swap *and*
+//! every degrade, so a hot-reload or a corrupt-swap degrade retires
+//! exactly that shard's entries), the sum of the shard epochs for
+//! fleet-scoped artefacts (the global top-K merge, `/aggregate`), and the
+//! federation generation at a federation front end (advanced by every
+//! backend health transition and every observed backend snapshot epoch,
+//! which the health prober reads from the `X-Pipefail-Epoch` header).
 //!
 //! Only **full 200s** are stored. Degraded-shard 503s, partial federation
 //! merges (`X-Pipefail-Partial`), typed 4xx — anything whose body depends
 //! on transient health — is never cached ("per-epoch-per-health-state or
 //! not at all": we choose not at all, and the epoch bump on degrade/heal
 //! keeps even the 200s exact). A store additionally revalidates that the
-//! epoch it computed under is still current, so a body that raced a swap
-//! can never be published under the new generation.
+//! epoch it computed under is still current. Routers read the epoch
+//! *before* any scorer or backend state, and a swap bumps the epoch only
+//! after installing the new state, so a body that raced a swap is either
+//! refused here or stored under the older epoch, which the bump retires —
+//! never under the new generation.
 //!
 //! A per-key **single-flight** gate coalesces concurrent identical
 //! misses: one leader computes, N waiters block on a condvar and reuse
@@ -41,15 +42,14 @@
 //!
 //! Hits rebuild a [`Response`] around the shared `Arc<str>` body — no
 //! body copy, no header vector — and the workers render it into a pooled
-//! frame buffer, so a cache hit allocates nothing on the
-//! request path once the pools are warm.
+//! frame buffer, so a cache hit allocates only its key on the request
+//! path once the pools are warm.
 
-use crate::federation::Federation;
-use crate::http::{RequestHandler, Response, ServeContext};
-use crate::metrics::{Metrics, Route};
+use crate::http::{Body, Response, ServerConfig};
+use crate::metrics::Metrics;
 use crate::parser::ParsedRequest;
-use crate::query;
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -64,9 +64,12 @@ const NIL: usize = usize::MAX;
 /// key and body lengths (slot links, map entry, `Arc` headers).
 const ENTRY_OVERHEAD: usize = 96;
 
+/// Rendered length of a validator: `"` + 16 hex digits + `"`.
+const ETAG_LEN: usize = 18;
+
 /// FNV-1a 64-bit — the workspace's standard tiny hash (snapshot checksums
 /// use the same family). Used for key → lock-shard selection, the `ETag`
-/// token, and the `/aggregate` body fingerprint.
+/// validator, and the `/aggregate` body fingerprint.
 fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
@@ -81,82 +84,61 @@ const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// Second, independent lane for the 128-bit aggregate-body fingerprint.
 const FNV_BASIS_B: u64 = 0x6c62_272e_07bb_0142;
 
-/// Which state generation covers a cacheable request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scope {
-    /// One local shard: epoch = [`crate::shards::Shard::epoch`].
-    Shard(usize),
-    /// The whole local fleet: epoch = [`crate::shards::ShardSet::fleet_epoch`].
-    Fleet,
-    /// The federation's merged artefact: epoch =
-    /// [`Federation::generation`].
-    Federation,
+/// 128-bit fingerprint of a raw `/aggregate` body (two independent FNV
+/// lanes). Routers key on it before parsing the spec, so a hit never
+/// parses.
+pub(crate) fn fingerprint(body: &str) -> u128 {
+    let a = fnv64(FNV_BASIS, body.as_bytes());
+    let b = fnv64(FNV_BASIS_B, body.as_bytes());
+    (u128::from(a) << 64) | u128::from(b)
 }
 
-/// Metric side effects an *uncached* request would have had. Replayed on
-/// every hit, coalesced wait, and `304`, so `/metrics` reads identically
-/// whether or not the cache answered — the per-shard request counters
-/// stay a truthful account of which shard's data served each query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Effects {
-    /// One shard answered (`shard_request(i)`).
-    Shard(usize),
-    /// Local scatter-gather global top-K (`global_topk` only).
-    GlobalTopK,
-    /// Federated global top-K: every backend scattered, then the merge.
-    FanoutTopK(usize),
-    /// Aggregate fan-out: every shard/backend computed a partial.
-    Fanout(usize),
+/// Whether an answer may be stored: a full 200, not a partial federation
+/// merge.
+fn is_full(response: &Response) -> bool {
+    response.status == 200
+        && !response.headers.iter().any(|(name, _)| *name == "X-Pipefail-Partial")
 }
 
-impl Effects {
-    fn replay(self, metrics: &Metrics) {
-        match self {
-            Effects::Shard(i) => metrics.shard_request(i),
-            Effects::GlobalTopK => metrics.global_topk(),
-            Effects::FanoutTopK(n) => {
-                for i in 0..n {
-                    metrics.shard_request(i);
-                }
-                metrics.global_topk();
-            }
-            Effects::Fanout(n) => {
-                for i in 0..n {
-                    metrics.shard_request(i);
-                }
-            }
-        }
+/// Compute an answer outside the store; a full one still carries the
+/// validator.
+fn unstored(etag: Option<u64>, compute: impl FnOnce() -> Response) -> (Response, Answer) {
+    let mut response = compute();
+    if is_full(&response) {
+        response.etag = etag;
     }
+    (response, Answer::Computed)
 }
 
-/// A classified cacheable request: its route, covering scope, the epoch
-/// read *before* dispatch, the full canonical key, and the replayable
-/// side effects.
-struct Spec {
-    route: Route,
-    scope: Scope,
-    epoch: u64,
-    key: Arc<str>,
-    effects: Effects,
-    /// GET routes get an epoch-derived `ETag`; `/aggregate` (POST) does
-    /// not.
-    etag: Option<Arc<str>>,
+/// Where an answer came from. A `Stored` answer (a hit, a coalesced wait,
+/// or a `304`) never ran the router's compute closure, so the router
+/// counts for it what that closure would have counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Answer {
+    /// Served from the cache or the validator; the compute closure did not run.
+    Stored,
+    /// The compute closure ran for this request.
+    Computed,
 }
 
 /// One stored rendered response. Only full 200s are ever constructed.
 struct Entry {
     content_type: &'static str,
     body: Arc<str>,
-    etag: Option<Arc<str>>,
-    effects: Effects,
+    etag: Option<u64>,
 }
 
 impl Entry {
     fn cost(&self, key: &str) -> usize {
-        key.len()
-            + self.body.len()
-            + self.etag.as_ref().map_or(0, |e| e.len())
-            + ENTRY_OVERHEAD
+        key.len() + self.body.len() + self.etag.map_or(0, |_| ETAG_LEN) + ENTRY_OVERHEAD
+    }
+
+    /// Rebuild the full response: shared body, no copy.
+    fn response(&self) -> Response {
+        let mut response = Response::json(200, Body::Shared(Arc::clone(&self.body)));
+        response.content_type = self.content_type;
+        response.etag = self.etag;
+        response
     }
 }
 
@@ -166,7 +148,7 @@ enum Admission {
     Hit(Arc<Entry>),
     /// Nobody is computing this key: the caller is now the leader and
     /// must call [`ResultCache::finish`] exactly once.
-    Lead(Arc<Flight>),
+    Lead(Arc<str>, Arc<Flight>),
     /// Another request is already computing this key: wait on the flight.
     Join(Arc<Flight>),
 }
@@ -321,7 +303,6 @@ impl LruShard {
                 content_type: "",
                 body: Arc::from(""),
                 etag: None,
-                effects: Effects::GlobalTopK,
             });
             evictions += 1;
         }
@@ -329,18 +310,96 @@ impl LruShard {
     }
 }
 
-/// The bounded, sharded-lock LRU over fully rendered response bodies.
+/// The bounded, sharded-lock LRU over fully rendered response bodies,
+/// plus the validators every cacheable GET carries. With
+/// `PIPEFAIL_CACHE=off` nothing is stored, but `ETag`s and `304`s are
+/// answered identically, so observable behaviour never depends on the
+/// knob.
 pub(crate) struct ResultCache {
+    /// The lock shards; empty when the cache is off.
     shards: Vec<Mutex<LruShard>>,
     /// Per-lock-shard byte budget (`PIPEFAIL_CACHE_BYTES / LOCK_SHARDS`).
     shard_budget: usize,
+    /// How long a coalesced waiter blocks before giving up and computing
+    /// itself (the request timeout — past that the client is gone anyway).
+    wait_timeout: Duration,
 }
 
 impl ResultCache {
-    pub(crate) fn new(total_bytes: usize) -> Self {
+    pub(crate) fn new(config: &ServerConfig) -> Self {
+        let lock_shards = if config.cache { LOCK_SHARDS } else { 0 };
         Self {
-            shards: (0..LOCK_SHARDS).map(|_| Mutex::new(LruShard::new())).collect(),
-            shard_budget: (total_bytes / LOCK_SHARDS).max(1),
+            shards: (0..lock_shards).map(|_| Mutex::new(LruShard::new())).collect(),
+            shard_budget: (config.cache_bytes / LOCK_SHARDS).max(1),
+            wait_timeout: Duration::from_secs_f64(config.request_timeout_secs.max(0.001)),
+        }
+    }
+
+    /// Answer a cacheable request. `epoch` is the covering state
+    /// generation, read by the caller *before* any scorer or backend
+    /// state; `key` the canonical query it prefixes into the cache key
+    /// `{epoch:x}|{key}`; `epoch_now` re-reads the generation at store
+    /// time; `compute` renders the answer. GET answers carry the FNV-1a
+    /// hash of the cache key as their `ETag`, and a matching
+    /// `If-None-Match` is a `304` without computing anything.
+    pub(crate) fn answer(
+        &self,
+        req: &ParsedRequest,
+        metrics: &Metrics,
+        epoch: u64,
+        key: fmt::Arguments<'_>,
+        epoch_now: impl Fn() -> u64,
+        compute: impl FnOnce() -> Response,
+    ) -> (Response, Answer) {
+        let mut text = String::with_capacity(48);
+        let _ = write!(text, "{epoch:x}|{key}");
+        let etag = (req.method == "GET").then(|| fnv64(FNV_BASIS, text.as_bytes()));
+        // The epoch moved iff the body could have changed, so a matching
+        // validator is answered without touching the cache or the scorer.
+        if let (Some(tag), Some(inm)) = (etag, &req.if_none_match) {
+            if *inm == format!("\"{tag:016x}\"") {
+                metrics.cache_hit();
+                let mut response = Response::json(304, "");
+                response.etag = Some(tag);
+                return (response, Answer::Stored);
+            }
+        }
+        if self.shards.is_empty() {
+            return unstored(etag, compute);
+        }
+        match self.admit(&text) {
+            Admission::Hit(entry) => {
+                metrics.cache_hit();
+                (entry.response(), Answer::Stored)
+            }
+            Admission::Lead(key, flight) => {
+                metrics.cache_miss();
+                let mut guard =
+                    FlightGuard { cache: self, key: &key, flight: &flight, metrics, armed: true };
+                let (mut response, answer) = unstored(etag, compute);
+                let entry = (is_full(&response) && epoch_now() == epoch).then(|| {
+                    Arc::new(Entry {
+                        content_type: response.content_type,
+                        body: response.share_body(),
+                        etag,
+                    })
+                });
+                guard.armed = false;
+                self.finish(&key, &flight, entry, metrics);
+                (response, answer)
+            }
+            Admission::Join(flight) => match flight.wait(self.wait_timeout) {
+                Some(Some(entry)) => {
+                    metrics.cache_coalesced();
+                    (entry.response(), Answer::Stored)
+                }
+                // Leader's answer was uncacheable (or it wedged): compute
+                // our own — correctness never depends on the gate.
+                _ => {
+                    metrics.cache_miss();
+                    unstored(etag, compute)
+                }
+            },
         }
     }
 
@@ -351,17 +410,18 @@ impl ResultCache {
 
     /// Look the key up; on miss either become the leader for it or join
     /// the flight already computing it.
-    fn admit(&self, key: &Arc<str>) -> Admission {
+    fn admit(&self, key: &str) -> Admission {
         let mut shard = self.shard(key).lock().unwrap_or_else(|p| p.into_inner());
         if let Some(entry) = shard.get_touch(key) {
             return Admission::Hit(entry);
         }
-        if let Some(flight) = shard.pending.get(key.as_ref()) {
+        if let Some(flight) = shard.pending.get(key) {
             return Admission::Join(Arc::clone(flight));
         }
+        let key: Arc<str> = Arc::from(key);
         let flight = Arc::new(Flight::new());
-        shard.pending.insert(Arc::clone(key), Arc::clone(&flight));
-        Admission::Lead(flight)
+        shard.pending.insert(Arc::clone(&key), Arc::clone(&flight));
+        Admission::Lead(key, flight)
     }
 
     /// Leader's epilogue: store the entry (if any), clear the pending
@@ -396,9 +456,9 @@ impl ResultCache {
     }
 }
 
-/// Unwind guard for a single-flight leader: if the inner handler panics,
-/// publish "uncacheable" and clear the pending marker so waiters fall
-/// back to computing instead of timing out against a dead flight.
+/// Unwind guard for a single-flight leader: if the compute closure
+/// panics, publish "uncacheable" and clear the pending marker so waiters
+/// fall back to computing instead of timing out against a dead flight.
 struct FlightGuard<'a> {
     cache: &'a ResultCache,
     key: &'a Arc<str>,
@@ -415,307 +475,6 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Which router the cache fronts — and therefore where epochs come from.
-pub(crate) enum CacheTopology {
-    /// Monolithic or in-process sharded serving: epochs are the local
-    /// shard counters.
-    Local(Arc<ServeContext>),
-    /// Federation front end: the only cacheable artefacts are the merged
-    /// fleet-scope answers, keyed on the health-and-epoch generation.
-    /// Region-relayed requests pass through — the backend's own cache
-    /// serves them with exact epochs.
-    Federated(Arc<Federation>),
-}
-
-/// The [`RequestHandler`] decorator that gives the connection core the
-/// result cache, `ETag`/`304` revalidation, and `HEAD` synthesis. Always
-/// installed — with `PIPEFAIL_CACHE=off` the LRU and single-flight gate
-/// are skipped but `ETag`, `304`, `HEAD`, and the `X-Pipefail-Epoch`
-/// header remain, so observable behaviour never depends on the knob.
-pub(crate) struct CachingHandler {
-    inner: Arc<dyn RequestHandler>,
-    topology: CacheTopology,
-    cache: Option<ResultCache>,
-    /// How long a coalesced waiter blocks before giving up and computing
-    /// itself (the request timeout — past that the client is gone anyway).
-    wait_timeout: Duration,
-    /// Memoized `X-Pipefail-Epoch` value: one rendered token per epoch,
-    /// so attaching the header allocates nothing on the steady state.
-    epoch_token: Mutex<(u64, Arc<str>)>,
-}
-
-impl CachingHandler {
-    pub(crate) fn new(
-        inner: Arc<dyn RequestHandler>,
-        topology: CacheTopology,
-        config: &crate::http::ServerConfig,
-    ) -> Self {
-        Self {
-            inner,
-            topology,
-            cache: config.cache.then(|| ResultCache::new(config.cache_bytes)),
-            wait_timeout: Duration::from_secs_f64(config.request_timeout_secs.max(0.001)),
-            epoch_token: Mutex::new((0, Arc::from("0"))),
-        }
-    }
-
-    /// The current epoch for a scope. Reads are cheap atomic loads; the
-    /// fleet value is a sum so any shard's change moves it.
-    fn epoch_of(&self, scope: Scope) -> u64 {
-        match (&self.topology, scope) {
-            (CacheTopology::Local(ctx), Scope::Shard(i)) => ctx.shards().shards()[i].epoch(),
-            (CacheTopology::Local(ctx), _) => ctx.shards().fleet_epoch(),
-            (CacheTopology::Federated(fed), _) => fed.generation(),
-        }
-    }
-
-    /// The fleet-wide epoch advertised in `X-Pipefail-Epoch` — what a
-    /// federation front end's prober reads to notice a backend reload.
-    fn fleet_token(&self) -> Arc<str> {
-        let epoch = match &self.topology {
-            CacheTopology::Local(ctx) => ctx.shards().fleet_epoch(),
-            CacheTopology::Federated(fed) => fed.generation(),
-        };
-        let mut slot = self.epoch_token.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.0 != epoch {
-            *slot = (epoch, Arc::from(epoch.to_string().as_str()));
-        }
-        Arc::clone(&slot.1)
-    }
-
-    /// Classify a request: `Some` iff its 200 body is a pure function of
-    /// `(epoch, canonical key)`. Anything else — unknown regions, bad
-    /// parameters, regionless `/pipe`, federation relays — passes through
-    /// untouched.
-    fn classify(&self, req: &ParsedRequest) -> Option<Spec> {
-        let spec = match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/top") => {
-                let k = query::top_k(&req.query).ok()?;
-                match (query::param(&req.query, "region"), &self.topology) {
-                    (Some(_), CacheTopology::Federated(_)) => return None,
-                    (Some(key), CacheTopology::Local(ctx)) => {
-                        let idx = ctx.shards().index_of(key)?;
-                        self.spec(
-                            Route::Top,
-                            Scope::Shard(idx),
-                            format!("top|s{idx}|k{k}"),
-                            Effects::Shard(idx),
-                            true,
-                        )
-                    }
-                    (None, CacheTopology::Local(ctx)) if ctx.shards().is_single() => self.spec(
-                        Route::Top,
-                        Scope::Shard(0),
-                        format!("top|s0|k{k}"),
-                        Effects::Shard(0),
-                        true,
-                    ),
-                    (None, CacheTopology::Local(_)) => self.spec(
-                        Route::Top,
-                        Scope::Fleet,
-                        format!("gtop|k{k}"),
-                        Effects::GlobalTopK,
-                        true,
-                    ),
-                    (None, CacheTopology::Federated(fed)) => self.spec(
-                        Route::Top,
-                        Scope::Federation,
-                        format!("gtop|k{k}"),
-                        Effects::FanoutTopK(fed.backend_count()),
-                        true,
-                    ),
-                }
-            }
-            ("GET", "/pipe") => {
-                let id = query::pipe_id(&req.query).ok()?;
-                match (query::param(&req.query, "region"), &self.topology) {
-                    (_, CacheTopology::Federated(_)) => return None,
-                    (Some(key), CacheTopology::Local(ctx)) => {
-                        let idx = ctx.shards().index_of(key)?;
-                        self.spec(
-                            Route::Pipe,
-                            Scope::Shard(idx),
-                            format!("pipe|s{idx}|i{id}"),
-                            Effects::Shard(idx),
-                            true,
-                        )
-                    }
-                    (None, CacheTopology::Local(ctx)) if ctx.shards().is_single() => self.spec(
-                        Route::Pipe,
-                        Scope::Shard(0),
-                        format!("pipe|s0|i{id}"),
-                        Effects::Shard(0),
-                        true,
-                    ),
-                    (None, CacheTopology::Local(_)) => return None,
-                }
-            }
-            ("POST", "/aggregate") => {
-                let partial = u8::from(query::wants_partial(&req.query));
-                let a = fnv64(FNV_BASIS, req.body.as_bytes());
-                let b = fnv64(FNV_BASIS_B, req.body.as_bytes());
-                let (scope, effects) = match &self.topology {
-                    CacheTopology::Local(ctx) => {
-                        (Scope::Fleet, Effects::Fanout(ctx.shards().len()))
-                    }
-                    CacheTopology::Federated(fed) => {
-                        (Scope::Federation, Effects::Fanout(fed.backend_count()))
-                    }
-                };
-                self.spec(
-                    Route::Aggregate,
-                    scope,
-                    format!("agg|p{partial}|{a:016x}{b:016x}"),
-                    effects,
-                    false,
-                )
-            }
-            _ => return None,
-        };
-        Some(spec)
-    }
-
-    fn spec(&self, route: Route, scope: Scope, tail: String, effects: Effects, etag: bool) -> Spec {
-        let epoch = self.epoch_of(scope);
-        let key: Arc<str> = Arc::from(format!("{epoch:x}|{tail}").as_str());
-        let etag = etag.then(|| {
-            Arc::from(format!("\"{:016x}\"", fnv64(FNV_BASIS, key.as_bytes())).as_str())
-        });
-        Spec { route, scope, epoch, key, effects, etag }
-    }
-
-    /// Rebuild the full response from a stored entry: shared body, shared
-    /// `ETag` — nothing allocated beyond two refcount bumps.
-    fn entry_response(&self, entry: &Entry) -> Response {
-        let mut response = Response::json(200, crate::http::Body::Shared(Arc::clone(&entry.body)));
-        response.content_type = entry.content_type;
-        response.etag = entry.etag.clone();
-        response
-    }
-
-    /// Compute through the inner handler as the single-flight leader, and
-    /// store the answer when it is a full 200 still covered by the epoch
-    /// the key was built under.
-    fn lead(
-        &self,
-        cache: &ResultCache,
-        flight: &Arc<Flight>,
-        spec: &Spec,
-        req: &ParsedRequest,
-        metrics: &Metrics,
-    ) -> (Route, Response) {
-        let mut guard =
-            FlightGuard { cache, key: &spec.key, flight, metrics, armed: true };
-        let (route, mut response) = self.inner.handle(req, metrics);
-        let entry = self.storable(spec, &mut response);
-        guard.armed = false;
-        cache.finish(&spec.key, flight, entry, metrics);
-        (route, response)
-    }
-
-    /// If this answer may be cached, share its body and build the entry:
-    /// full 200s only (a partial federation merge carries
-    /// `X-Pipefail-Partial` and is skipped), and only if the scope's epoch
-    /// still equals the one the key embeds — an answer that raced a swap
-    /// or degrade must not survive it.
-    fn storable(&self, spec: &Spec, response: &mut Response) -> Option<Arc<Entry>> {
-        if response.status != 200 {
-            return None;
-        }
-        if response.headers.iter().any(|(name, _)| *name == "X-Pipefail-Partial") {
-            return None;
-        }
-        response.etag = spec.etag.clone();
-        if self.epoch_of(spec.scope) != spec.epoch {
-            return None;
-        }
-        let body = response.share_body();
-        Some(Arc::new(Entry {
-            content_type: response.content_type,
-            body,
-            etag: spec.etag.clone(),
-            effects: spec.effects,
-        }))
-    }
-
-    fn handle_cacheable(
-        &self,
-        spec: &Spec,
-        req: &ParsedRequest,
-        metrics: &Metrics,
-    ) -> (Route, Response) {
-        // `If-None-Match` against the epoch-derived ETag: the epoch moved
-        // iff the body could have changed, so a match is answered `304`
-        // without touching the cache or the scorer.
-        if let (Some(etag), Some(inm)) = (&spec.etag, &req.if_none_match) {
-            if inm.as_str() == etag.as_ref() {
-                spec.effects.replay(metrics);
-                metrics.cache_hit();
-                let mut response = Response::json(304, "");
-                response.etag = Some(Arc::clone(etag));
-                return (spec.route, response);
-            }
-        }
-        let Some(cache) = &self.cache else {
-            // Cache off: same classification, same ETags, no storage.
-            let (route, mut response) = self.inner.handle(req, metrics);
-            if response.status == 200
-                && !response.headers.iter().any(|(n, _)| *n == "X-Pipefail-Partial")
-            {
-                response.etag = spec.etag.clone();
-            }
-            return (route, response);
-        };
-        match cache.admit(&spec.key) {
-            Admission::Hit(entry) => {
-                metrics.cache_hit();
-                entry.effects.replay(metrics);
-                (spec.route, self.entry_response(&entry))
-            }
-            Admission::Lead(flight) => {
-                metrics.cache_miss();
-                self.lead(cache, &flight, spec, req, metrics)
-            }
-            Admission::Join(flight) => match flight.wait(self.wait_timeout) {
-                Some(Some(entry)) => {
-                    metrics.cache_coalesced();
-                    entry.effects.replay(metrics);
-                    (spec.route, self.entry_response(&entry))
-                }
-                // Leader's answer was uncacheable (or it wedged): compute
-                // our own — correctness never depends on the gate.
-                _ => {
-                    metrics.cache_miss();
-                    self.inner.handle(req, metrics)
-                }
-            },
-        }
-    }
-}
-
-impl RequestHandler for CachingHandler {
-    fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response) {
-        // HEAD = GET minus the body bytes (`Content-Length` still reports
-        // the body's length). Synthesized here so every GET route — and
-        // the cache in front of it — answers HEAD instead of falling
-        // through to 405/404.
-        let converted;
-        let (req, head_only) = if req.method == "HEAD" {
-            converted = ParsedRequest { method: "GET".into(), ..req.clone() };
-            (&converted, true)
-        } else {
-            (req, false)
-        };
-        let (route, mut response) = match self.classify(req) {
-            Some(spec) => self.handle_cacheable(&spec, req, metrics),
-            None => self.inner.handle(req, metrics),
-        };
-        response.head_only = head_only;
-        response.epoch_token = Some(self.fleet_token());
-        (route, response)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,12 +484,34 @@ mod tests {
             content_type: "application/json",
             body: Arc::from(body),
             etag: None,
-            effects: Effects::Shard(0),
         })
     }
 
     fn key(s: &str) -> Arc<str> {
         Arc::from(s)
+    }
+
+    fn cache(on: bool) -> ResultCache {
+        ResultCache::new(&ServerConfig { cache: on, cache_bytes: 1 << 20, ..ServerConfig::default() })
+    }
+
+    fn lead(cache: &ResultCache, k: &str) -> (Arc<str>, Arc<Flight>) {
+        match cache.admit(k) {
+            Admission::Lead(key, flight) => (key, flight),
+            _ => panic!("fresh key must lead"),
+        }
+    }
+
+    fn get(if_none_match: Option<String>) -> ParsedRequest {
+        ParsedRequest {
+            method: "GET".into(),
+            path: "/top".into(),
+            query: String::new(),
+            http11: true,
+            connection: crate::parser::ConnectionDirective::Unspecified,
+            if_none_match,
+            body: String::new(),
+        }
     }
 
     #[test]
@@ -770,12 +551,9 @@ mod tests {
 
     #[test]
     fn cache_accounts_resident_bytes() {
-        let cache = ResultCache::new(1 << 20);
+        let cache = cache(true);
         let metrics = Metrics::new();
-        let k = key("e1|top|s0|k10");
-        let Admission::Lead(flight) = cache.admit(&k) else {
-            panic!("fresh key must lead")
-        };
+        let (k, flight) = lead(&cache, "e1|top|s0|k10");
         cache.finish(&k, &flight, Some(entry("body")), &metrics);
         assert!(cache.resident_bytes() > 0);
         assert!(matches!(cache.admit(&k), Admission::Hit(_)));
@@ -783,12 +561,9 @@ mod tests {
 
     #[test]
     fn single_flight_coalesces_concurrent_identical_misses() {
-        let cache = Arc::new(ResultCache::new(1 << 20));
+        let cache = Arc::new(cache(true));
         let metrics = Arc::new(Metrics::new());
-        let k = key("e1|gtop|k10");
-        let Admission::Lead(flight) = cache.admit(&k) else {
-            panic!("fresh key must lead")
-        };
+        let (k, flight) = lead(&cache, "e1|gtop|k10");
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
@@ -801,7 +576,7 @@ mod tests {
                         .body
                         .to_string(),
                     Admission::Hit(e) => e.body.to_string(),
-                    Admission::Lead(_) => panic!("only one leader per key"),
+                    Admission::Lead(..) => panic!("only one leader per key"),
                 })
             })
             .collect();
@@ -815,12 +590,9 @@ mod tests {
 
     #[test]
     fn uncacheable_leader_answers_release_waiters_with_none() {
-        let cache = ResultCache::new(1 << 20);
+        let cache = cache(true);
         let metrics = Metrics::new();
-        let k = key("e1|top|s0|k3");
-        let Admission::Lead(flight) = cache.admit(&k) else {
-            panic!()
-        };
+        let (k, flight) = lead(&cache, "e1|top|s0|k3");
         let joined = match cache.admit(&k) {
             Admission::Join(f) => f,
             _ => panic!("second admit must join"),
@@ -828,13 +600,57 @@ mod tests {
         cache.finish(&k, &flight, None, &metrics);
         assert!(matches!(joined.wait(Duration::from_secs(1)), Some(None)));
         // Nothing stored; the next admit leads again.
-        assert!(matches!(cache.admit(&k), Admission::Lead(_)));
+        assert!(matches!(cache.admit(&k), Admission::Lead(..)));
+    }
+
+    #[test]
+    fn answer_stores_full_200s_still_covered_by_their_epoch() {
+        let cache = cache(true);
+        let metrics = Metrics::new();
+        let ok = || Response::json(200, "{}");
+        let ask = |epoch_now: u64, compute: &dyn Fn() -> Response| {
+            cache.answer(&get(None), &metrics, 1, format_args!("top|s0|k5"), || epoch_now, compute)
+        };
+        // An epoch that moved mid-compute, a partial merge, and an error
+        // are served but never stored.
+        assert_eq!(ask(2, &ok).1, Answer::Computed);
+        assert_eq!(ask(1, &|| ok().with_header("X-Pipefail-Partial", "b")).1, Answer::Computed);
+        assert_eq!(ask(1, &|| Response::json(503, "{}")).1, Answer::Computed);
+        assert_eq!(cache.resident_bytes(), 0);
+        // A full 200 under its own epoch is stored, then served stored.
+        let (first, answer) = ask(1, &ok);
+        assert_eq!(answer, Answer::Computed);
+        let (again, answer) = ask(1, &ok);
+        assert_eq!(answer, Answer::Stored);
+        assert_eq!((again.etag, again.body), (first.etag, first.body));
+        assert_eq!((metrics.cache_misses_total(), metrics.cache_hits_total()), (4, 1));
+    }
+
+    #[test]
+    fn validators_answer_304_with_the_cache_on_or_off() {
+        for on in [true, false] {
+            let cache = cache(on);
+            let metrics = Metrics::new();
+            let ask = |inm: Option<String>| {
+                cache.answer(&get(inm), &metrics, 7, format_args!("pipe|s0|i3"), || 7, || {
+                    Response::json(200, "{\"pipe\":3}")
+                })
+            };
+            let (full, _) = ask(None);
+            let tag = full.etag.expect("GET answers carry a validator");
+            assert_eq!(tag, fnv64(FNV_BASIS, b"7|pipe|s0|i3"));
+            let (matched, answer) = ask(Some(format!("\"{tag:016x}\"")));
+            assert_eq!((matched.status, matched.etag, answer), (304, Some(tag), Answer::Stored));
+            // Only the exact wire form matches.
+            for other in [format!("\"{tag:016X}\""), format!("{tag:016x}"), "\"0\"".into()] {
+                assert_eq!(ask(Some(other)).0.status, 200);
+            }
+        }
     }
 
     #[test]
     fn fnv_lanes_differ() {
-        let a = fnv64(FNV_BASIS, b"{\"group_by\":[\"material\"]}");
-        let b = fnv64(FNV_BASIS_B, b"{\"group_by\":[\"material\"]}");
-        assert_ne!(a, b);
+        let fp = fingerprint("{\"group_by\":[\"material\"]}");
+        assert_ne!(fp >> 64, fp & u128::from(u64::MAX));
     }
 }

@@ -243,9 +243,16 @@ fn worker_loop(
             let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
             guard.recv()
         };
-        let Ok(job) = job else { break }; // loop exited, queue drained
+        let Ok(mut job) = job else { break }; // loop exited, queue drained
         let started = Instant::now();
+        // HEAD is GET minus the body bytes: route it as the GET, so every
+        // GET route (and its cache entry) answers it.
+        let head_only = job.req.method == "HEAD";
+        if head_only {
+            job.req.method.replace_range(.., "GET");
+        }
         let (route, mut response) = handler.handle(&job.req, metrics);
+        response.head_only = head_only;
         response.close = job.close;
         // Observe before the response can reach the client: a client that
         // has read a response must already see it counted in /metrics. The

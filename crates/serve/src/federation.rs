@@ -50,6 +50,7 @@
 //! truncations, resets, and garbage through all of these paths).
 
 use crate::aggregate::{self, AggregateSpec};
+use crate::cache::{self, Answer, ResultCache};
 use crate::http::{
     self, query_param, render_global_top_k_keys, serve_handler, unknown_region_body_keys,
     RequestHandler, Response, ServerConfig, ServerHandle,
@@ -526,11 +527,6 @@ impl Federation {
         self.backends
             .binary_search_by(|b| b.key.as_str().cmp(key))
             .ok()
-    }
-
-    /// Number of federated backends.
-    pub(crate) fn backend_count(&self) -> usize {
-        self.backends.len()
     }
 
     /// The fleet's state generation — the front-end cache's epoch: a
@@ -1037,9 +1033,12 @@ fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
 
 /// The federation front-end's request handler: relays region-tagged
 /// queries, scatter-gathers the global top-K, and answers inventory and
-/// metrics locally.
+/// metrics locally. Only the merged fleet-scope answers go through the
+/// result cache, keyed on [`Federation::generation`]; region relays pass
+/// through, so the backends' own caches serve them with exact epochs.
 struct FederationRouter {
     fed: Arc<Federation>,
+    cache: ResultCache,
 }
 
 impl FederationRouter {
@@ -1122,6 +1121,31 @@ impl FederationRouter {
             Ok(k) => k,
             Err(e) => return e.response(),
         };
+        let fed = &self.fed;
+        let (response, answer) = self.cache.answer(
+            req,
+            metrics,
+            fed.generation(),
+            format_args!("gtop|k{k}"),
+            || fed.generation(),
+            || self.scatter_top(k, metrics),
+        );
+        if answer == Answer::Stored {
+            self.count_fanout(metrics);
+            metrics.global_topk();
+        }
+        response
+    }
+
+    /// A stored fleet-scope answer stands for a fan-out in which every
+    /// backend answered: count each, as the computed answer did.
+    fn count_fanout(&self, metrics: &Metrics) {
+        for idx in 0..self.fed.backends.len() {
+            metrics.shard_request(idx);
+        }
+    }
+
+    fn scatter_top(&self, k: usize, metrics: &Metrics) -> Response {
         let fed = &self.fed;
         let results: Vec<Result<Vec<PipeRisk>, FederationError>> = std::thread::scope(|s| {
             let handles: Vec<_> = fed
@@ -1214,6 +1238,23 @@ impl FederationRouter {
     /// the body covers the live fleet and `X-Pipefail-Partial` names the
     /// missing regions. A fully dark fleet is a 503 with `Retry-After`.
     fn aggregate(&self, req: &ParsedRequest, metrics: &Metrics) -> Response {
+        let fed = &self.fed;
+        let partial = u8::from(crate::query::wants_partial(&req.query));
+        let (response, answer) = self.cache.answer(
+            req,
+            metrics,
+            fed.generation(),
+            format_args!("agg|p{partial}|{:032x}", cache::fingerprint(&req.body)),
+            || fed.generation(),
+            || self.scatter_aggregate(req, metrics),
+        );
+        if answer == Answer::Stored {
+            self.count_fanout(metrics);
+        }
+        response
+    }
+
+    fn scatter_aggregate(&self, req: &ParsedRequest, metrics: &Metrics) -> Response {
         let spec = match AggregateSpec::parse(&req.body) {
             Ok(spec) => spec,
             Err(e) => {
@@ -1366,7 +1407,7 @@ impl FederationRouter {
 
 impl RequestHandler for FederationRouter {
     fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response) {
-        match (req.method.as_str(), req.path.as_str()) {
+        let (route, mut response) = match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/health") => (Route::Health, Response::json(200, "{\"status\":\"ok\"}")),
             ("GET", "/healthz") => (Route::Healthz, self.healthz()),
             ("GET", "/top") => {
@@ -1404,7 +1445,9 @@ impl RequestHandler for FederationRouter {
                 (Route::Other, Response::json(405, "{\"error\":\"method not allowed\"}"))
             }
             _ => (Route::Other, Response::json(404, "{\"error\":\"no such route\"}")),
-        }
+        };
+        response.epoch = Some(self.fed.generation());
+        (route, response)
     }
 }
 
@@ -1417,16 +1460,10 @@ pub fn serve_federated(
     config: &ServerConfig,
 ) -> Result<ServerHandle, ServeError> {
     let metrics = Arc::new(Metrics::with_backends(fed.keys()));
-    let router: Arc<dyn RequestHandler> =
-        Arc::new(FederationRouter { fed: Arc::clone(&fed) });
-    // The front-end result cache keys its merged fleet-scope bodies on
-    // `Federation::generation()`; region relays pass through so the
-    // backends' own caches serve them with exact epochs.
-    let handler = Arc::new(crate::cache::CachingHandler::new(
-        router,
-        crate::cache::CacheTopology::Federated(Arc::clone(&fed)),
-        config,
-    ));
+    let handler = Arc::new(FederationRouter {
+        fed: Arc::clone(&fed),
+        cache: ResultCache::new(config),
+    });
     let prober_metrics = Arc::clone(&metrics);
     let probe_interval = Duration::from_secs_f64(fed.config.probe_secs);
     serve_handler(handler, metrics, config, move |shutdown| {

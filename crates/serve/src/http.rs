@@ -34,6 +34,7 @@
 //! | `GET /metrics` | Prometheus text exposition (sharded: per-shard `shard="R"` series) |
 
 use crate::aggregate::{self, AggregateSpec};
+use crate::cache::{self, Answer, ResultCache};
 use crate::metrics::{Metrics, Route};
 use crate::parser::ParsedRequest;
 use crate::reload;
@@ -387,9 +388,11 @@ pub(crate) trait RequestHandler: Send + Sync + 'static {
 }
 
 /// The in-process router: answers every route from the local
-/// [`ServeContext`] shards.
+/// [`ServeContext`] shards, through the result cache where the answer is
+/// a pure function of a shard's or the fleet's epoch.
 pub(crate) struct LocalRouter {
     ctx: Arc<ServeContext>,
+    cache: ResultCache,
     /// Seconds advertised in `Retry-After` on degrade `503`s — derived
     /// from the reload poll interval, since that is when a degraded shard
     /// can next heal.
@@ -398,7 +401,7 @@ pub(crate) struct LocalRouter {
 
 impl RequestHandler for LocalRouter {
     fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response) {
-        route_request(req, &self.ctx, metrics, self.retry_after_secs)
+        route_request(req, &self.ctx, &self.cache, metrics, self.retry_after_secs)
     }
 }
 
@@ -426,17 +429,11 @@ pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHand
     let metrics = Arc::new(Metrics::with_shards(
         ctx.shards().keys().map(String::from).collect(),
     ));
-    let router: Arc<dyn RequestHandler> = Arc::new(LocalRouter {
+    let handler = Arc::new(LocalRouter {
         ctx: Arc::clone(&ctx),
+        cache: ResultCache::new(config),
         retry_after_secs: retry_after_secs(config.reload_poll_secs),
     });
-    // The result cache fronts the router; it is always installed so
-    // ETag/304/HEAD behaviour never depends on the PIPEFAIL_CACHE knob.
-    let handler = Arc::new(crate::cache::CachingHandler::new(
-        router,
-        crate::cache::CacheTopology::Local(Arc::clone(&ctx)),
-        config,
-    ));
     let watcher_metrics = Arc::clone(&metrics);
     let poll = config.reload_poll_secs;
     let snapshot_path = config.snapshot_path.clone();
@@ -596,14 +593,13 @@ pub(crate) struct Response {
     /// Extra headers beyond the always-present framing set
     /// (`Retry-After`, `X-Pipefail-Partial`, …).
     pub(crate) headers: Vec<(&'static str, String)>,
-    /// Epoch-derived entity tag, rendered as an `ETag` header (cacheable
-    /// GET routes only). `Arc` so cache hits attach it without allocating.
-    pub(crate) etag: Option<Arc<str>>,
-    /// Fleet-epoch token rendered as `X-Pipefail-Epoch` — how a
-    /// federation front end notices a backend snapshot reload between
-    /// health probes. Attached by the caching layer, one shared rendering
-    /// per epoch.
-    pub(crate) epoch_token: Option<Arc<str>>,
+    /// Epoch-derived validator, rendered as a quoted 16-hex-digit `ETag`
+    /// header (cacheable GET routes only).
+    pub(crate) etag: Option<u64>,
+    /// Fleet epoch rendered as `X-Pipefail-Epoch` — how a federation
+    /// front end notices a backend snapshot reload between health probes.
+    /// Set by the router on every answer it routes.
+    pub(crate) epoch: Option<u64>,
     /// `HEAD` answer: frame the headers (with the body's true
     /// `Content-Length`) but send no body bytes.
     pub(crate) head_only: bool,
@@ -620,7 +616,7 @@ impl Response {
             body: body.into(),
             headers: Vec::new(),
             etag: None,
-            epoch_token: None,
+            epoch: None,
             head_only: false,
             close: false,
         }
@@ -633,7 +629,7 @@ impl Response {
             body: body.into(),
             headers: Vec::new(),
             etag: None,
-            epoch_token: None,
+            epoch: None,
             head_only: false,
             close: false,
         }
@@ -690,21 +686,27 @@ impl Response {
             504 => "Gateway Timeout",
             _ => "Error",
         };
-        // `Content-Length` is the body's length even for `head_only`
-        // frames: HEAD advertises what the matching GET would carry.
         let _ = write!(
             frame,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-            self.status,
-            reason,
-            self.content_type,
-            self.body.len(),
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n",
+            self.status, reason, self.content_type
+        );
+        // `Content-Length` is the body's length even for `head_only`
+        // frames: HEAD advertises what the matching GET would carry. A
+        // `304` sends none — RFC 9110 §8.6 forbids any value but the
+        // length of the 200 body it stands for.
+        if self.status != 304 {
+            let _ = write!(frame, "Content-Length: {}\r\n", self.body.len());
+        }
+        let _ = write!(
+            frame,
+            "Connection: {}\r\n",
             if self.close { "close" } else { "keep-alive" }
         );
-        if let Some(etag) = &self.etag {
-            let _ = write!(frame, "ETag: {etag}\r\n");
+        if let Some(etag) = self.etag {
+            let _ = write!(frame, "ETag: \"{etag:016x}\"\r\n");
         }
-        if let Some(epoch) = &self.epoch_token {
+        if let Some(epoch) = self.epoch {
             let _ = write!(frame, "X-Pipefail-Epoch: {epoch}\r\n");
         }
         for (name, value) in &self.headers {
@@ -728,17 +730,20 @@ impl Response {
 fn route_request(
     req: &ParsedRequest,
     ctx: &ServeContext,
+    cache: &ResultCache,
     metrics: &Metrics,
     retry_after_secs: u64,
 ) -> (Route, Response) {
     let (route, mut response) = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => (Route::Health, Response::json(200, "{\"status\":\"ok\"}")),
         ("GET", "/healthz") => (Route::Healthz, healthz_response(ctx)),
-        ("GET", "/top") => (Route::Top, top_response(req, ctx, metrics)),
-        ("GET", "/pipe") => (Route::Pipe, pipe_response(req, ctx, metrics)),
+        ("GET", "/top") => (Route::Top, top_response(req, ctx, cache, metrics)),
+        ("GET", "/pipe") => (Route::Pipe, pipe_response(req, ctx, cache, metrics)),
         ("GET", "/model") => (Route::Model, model_response(ctx)),
         ("POST", "/batch") => (Route::Batch, batch_response(req, ctx, metrics)),
-        ("POST", "/aggregate") => (Route::Aggregate, aggregate_response(req, ctx, metrics)),
+        ("POST", "/aggregate") => {
+            (Route::Aggregate, aggregate_response(req, ctx, cache, metrics))
+        }
         ("GET", "/metrics") => (
             Route::Metrics,
             Response::text(200, "text/plain; version=0.0.4", metrics.render()),
@@ -760,6 +765,7 @@ fn route_request(
     if response.status == 503 {
         response = response.with_header("Retry-After", retry_after_secs.to_string());
     }
+    response.epoch = Some(ctx.shards().fleet_epoch());
     (route, response)
 }
 
@@ -818,101 +824,142 @@ fn degraded_shard_body(key: &str, reason: &str) -> String {
     )
 }
 
-/// Resolve a `?region=` key to a serving shard: `Err` carries the ready
-/// typed 404 (unknown region) or 503 (degraded shard) response. The `Ok`
-/// scorer is a stable `Arc` view for the rest of the request.
-fn resolve_region(
-    ctx: &ServeContext,
-    metrics: &Metrics,
-    key: &str,
-) -> Result<(usize, Arc<Scorer>), Response> {
-    let shards = ctx.shards();
-    let Some(idx) = shards.index_of(key) else {
-        return Err(Response::json(404, unknown_region_body(shards, key)));
-    };
-    match shards.shards()[idx].serving() {
-        Ok(scorer) => Ok((idx, scorer)),
-        Err(reason) => {
-            metrics.shard_unavailable(idx);
-            Err(Response::json(503, degraded_shard_body(key, &reason)))
-        }
+/// The shard a `/top` or `/pipe` request routes to: its `?region=` key,
+/// or the only shard of a one-shard server. `Ok(None)` is a region-less
+/// request on a sharded server; `Err` the typed 404 for an unknown region.
+fn shard_of(req: &ParsedRequest, shards: &ShardSet) -> Result<Option<usize>, Response> {
+    match query_param(&req.query, "region") {
+        Some(key) => match shards.index_of(key) {
+            Some(idx) => Ok(Some(idx)),
+            None => Err(Response::json(404, unknown_region_body(shards, key))),
+        },
+        None if shards.is_single() => Ok(Some(0)),
+        None => Ok(None),
     }
 }
 
-fn top_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) -> Response {
+/// Answer a shard-scoped request through the cache under `key`. The
+/// shard's epoch is read before its scorer, a degraded shard is a typed
+/// 503, and the shard is counted here, so a stored answer counts exactly
+/// like a computed one.
+fn shard_answer(
+    req: &ParsedRequest,
+    ctx: &ServeContext,
+    cache: &ResultCache,
+    metrics: &Metrics,
+    idx: usize,
+    key: std::fmt::Arguments<'_>,
+    render: impl FnOnce(&Scorer) -> Response,
+) -> Response {
+    let shard = &ctx.shards().shards()[idx];
+    let epoch = shard.epoch();
+    let scorer = match shard.serving() {
+        Ok(scorer) => scorer,
+        Err(reason) => {
+            metrics.shard_unavailable(idx);
+            return Response::json(503, degraded_shard_body(shard.key(), &reason));
+        }
+    };
+    metrics.shard_request(idx);
+    cache.answer(req, metrics, epoch, key, || shard.epoch(), || render(&scorer)).0
+}
+
+fn top_response(
+    req: &ParsedRequest,
+    ctx: &ServeContext,
+    cache: &ResultCache,
+    metrics: &Metrics,
+) -> Response {
     let k = match crate::query::top_k(&req.query) {
         Ok(k) => k,
         Err(e) => return e.response(),
     };
-    match query_param(&req.query, "region") {
-        // Region-tagged: route straight to one shard, zero cross-shard
-        // work — the single-snapshot fast path with a binary search in
-        // front.
-        Some(key) => match resolve_region(ctx, metrics, key) {
-            Ok((idx, scorer)) => {
-                metrics.shard_request(idx);
-                Response::json(200, render_top_k(&scorer, k))
-            }
-            Err(response) => response,
-        },
-        // One shard: region-less /top is exactly the legacy endpoint.
-        None if ctx.shards().is_single() => {
-            metrics.shard_request(0);
-            Response::json(200, render_top_k(&ctx.scorer(), k))
+    match shard_of(req, ctx.shards()) {
+        // Region-tagged (or the only shard): route straight to one shard,
+        // zero cross-shard work.
+        Ok(Some(idx)) => {
+            let key = format_args!("top|s{idx}|k{k}");
+            shard_answer(req, ctx, cache, metrics, idx, key, |scorer| {
+                Response::json(200, render_top_k(scorer, k))
+            })
         }
         // Scatter-gather global top-K across every region.
-        None => match ctx.shards().global_top_k(k) {
-            Ok(merged) => {
+        Ok(None) => {
+            let shards = ctx.shards();
+            let (response, answer) = cache.answer(
+                req,
+                metrics,
+                shards.fleet_epoch(),
+                format_args!("gtop|k{k}"),
+                || shards.fleet_epoch(),
+                || global_top_response(shards, metrics, k),
+            );
+            if answer == Answer::Stored {
                 metrics.global_topk();
-                Response::json(200, render_global_top_k(ctx.shards(), &merged, k))
             }
-            Err(degraded) => {
-                for key in &degraded {
-                    if let Some(idx) = ctx.shards().index_of(key) {
-                        metrics.shard_unavailable(idx);
-                    }
-                }
-                let keys: Vec<String> = degraded.iter().map(|k| json_str(k)).collect();
-                Response::json(
-                    503,
-                    format!(
-                        "{{\"error\":\"global top-k unavailable: degraded shards\",\"shards\":[{}]}}",
-                        keys.join(",")
-                    ),
-                )
-            }
-        },
+            response
+        }
+        Err(response) => response,
     }
 }
 
-fn pipe_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) -> Response {
+fn global_top_response(shards: &ShardSet, metrics: &Metrics, k: usize) -> Response {
+    match shards.global_top_k(k) {
+        Ok(merged) => {
+            metrics.global_topk();
+            Response::json(200, render_global_top_k(shards, &merged, k))
+        }
+        Err(degraded) => {
+            for key in &degraded {
+                if let Some(idx) = shards.index_of(key) {
+                    metrics.shard_unavailable(idx);
+                }
+            }
+            let keys: Vec<String> = degraded.iter().map(|k| json_str(k)).collect();
+            Response::json(
+                503,
+                format!(
+                    "{{\"error\":\"global top-k unavailable: degraded shards\",\"shards\":[{}]}}",
+                    keys.join(",")
+                ),
+            )
+        }
+    }
+}
+
+fn pipe_response(
+    req: &ParsedRequest,
+    ctx: &ServeContext,
+    cache: &ResultCache,
+    metrics: &Metrics,
+) -> Response {
     let id = match crate::query::pipe_id(&req.query) {
         Ok(id) => id,
         Err(e) => return e.response(),
     };
-    let (idx, scorer) = match query_param(&req.query, "region") {
-        Some(key) => match resolve_region(ctx, metrics, key) {
-            Ok(found) => found,
-            Err(response) => return response,
-        },
-        None if ctx.shards().is_single() => (0, ctx.scorer()),
+    match shard_of(req, ctx.shards()) {
+        Ok(Some(idx)) => {
+            let key = format_args!("pipe|s{idx}|i{id}");
+            shard_answer(req, ctx, cache, metrics, idx, key, |scorer| {
+                match scorer.risk_of(PipeId(id)) {
+                    Some(risk) => Response::json(200, render_pipe_risk(&risk)),
+                    None => Response::json(404, format!("{{\"error\":\"pipe {id} not ranked\"}}")),
+                }
+            })
+        }
         // Pipe ids are only unique within a region's snapshot; answering
         // from an arbitrary shard would be silently wrong.
-        None => {
+        Ok(None) => {
             let regions: Vec<String> = ctx.shards().keys().map(json_str).collect();
-            return Response::json(
+            Response::json(
                 400,
                 format!(
                     "{{\"error\":\"pipe ids are per-region; pass ?region=<key>\",\"regions\":[{}]}}",
                     regions.join(",")
                 ),
-            );
+            )
         }
-    };
-    metrics.shard_request(idx);
-    match scorer.risk_of(PipeId(id)) {
-        Some(risk) => Response::json(200, render_pipe_risk(&risk)),
-        None => Response::json(404, format!("{{\"error\":\"pipe {id} not ranked\"}}")),
+        Err(response) => response,
     }
 }
 
@@ -1063,7 +1110,31 @@ fn batch_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) ->
 /// federated servers answer byte-identically (`docs/AGGREGATE.md`).
 /// `?partial=1` returns the merge-ready partial state instead of the
 /// final body: the scatter leg a federation front-end drives.
-fn aggregate_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) -> Response {
+fn aggregate_response(
+    req: &ParsedRequest,
+    ctx: &ServeContext,
+    cache: &ResultCache,
+    metrics: &Metrics,
+) -> Response {
+    let shards = ctx.shards();
+    let partial = u8::from(crate::query::wants_partial(&req.query));
+    let (response, answer) = cache.answer(
+        req,
+        metrics,
+        shards.fleet_epoch(),
+        format_args!("agg|p{partial}|{:032x}", cache::fingerprint(&req.body)),
+        || shards.fleet_epoch(),
+        || aggregate_compute(req, ctx, metrics),
+    );
+    if answer == Answer::Stored {
+        for idx in 0..shards.len() {
+            metrics.shard_request(idx);
+        }
+    }
+    response
+}
+
+fn aggregate_compute(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) -> Response {
     let spec = match AggregateSpec::parse(&req.body) {
         Ok(spec) => spec,
         Err(e) => {
@@ -1439,6 +1510,17 @@ mod tests {
         )
     }
 
+    /// Route through a local router whose cache stores nothing.
+    fn route_uncached(
+        req: &ParsedRequest,
+        ctx: &ServeContext,
+        metrics: &Metrics,
+        retry_after_secs: u64,
+    ) -> (Route, Response) {
+        let cache = ResultCache::new(&ServerConfig { cache: false, ..ServerConfig::default() });
+        route_request(req, ctx, &cache, metrics, retry_after_secs)
+    }
+
     fn get(path_and_query: &str) -> ParsedRequest {
         let (path, query) = match path_and_query.split_once('?') {
             Some((p, q)) => (p.to_string(), q.to_string()),
@@ -1459,13 +1541,13 @@ mod tests {
     fn unknown_region_is_a_typed_404_listing_known_regions() {
         let ctx = sharded_ctx();
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
-        let (route, resp) = route_request(&get("/top?region=region_z&k=3"), &ctx, &metrics, 1);
+        let (route, resp) = route_uncached(&get("/top?region=region_z&k=3"), &ctx, &metrics, 1);
         assert_eq!(route, Route::Top);
         assert_eq!(resp.status, 404);
         assert!(resp.body.contains("unknown region \\\"region_z\\\""), "{}", resp.body);
         assert!(resp.body.contains("\"regions\":[\"region_a\",\"region_b\"]"), "{}", resp.body);
         // Same typed body on /pipe.
-        let (_, resp) = route_request(&get("/pipe?region=nope&id=1"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/pipe?region=nope&id=1"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 404);
         assert!(resp.body.contains("\"regions\":["));
     }
@@ -1474,14 +1556,14 @@ mod tests {
     fn region_tagged_queries_route_to_one_shard() {
         let ctx = sharded_ctx();
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
-        let (_, resp) = route_request(&get("/top?region=region_b&k=1"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/top?region=region_b&k=1"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 200);
         assert!(resp.body.contains("\"region\":\"Region B\""), "{}", resp.body);
         assert!(resp.body.contains("\"pipe\":1"));
         // Pipe 9 exists only in Region B.
-        let (_, resp) = route_request(&get("/pipe?region=region_b&id=9"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/pipe?region=region_b&id=9"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 200);
-        let (_, resp) = route_request(&get("/pipe?region=region_a&id=9"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/pipe?region=region_a&id=9"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 404);
         assert_eq!(metrics.shard_requests(1), 2);
         assert_eq!(metrics.shard_requests(0), 1);
@@ -1491,7 +1573,7 @@ mod tests {
     fn regionless_top_scatter_gathers_and_regionless_pipe_is_rejected() {
         let ctx = sharded_ctx();
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
-        let (_, resp) = route_request(&get("/top?k=3"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/top?k=3"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 200);
         // Global order: 0.9 (A), 0.7 (B), 0.5 (B) — ranks are global,
         // shard_rank is the within-region rank.
@@ -1504,7 +1586,7 @@ mod tests {
         ), "{}", resp.body);
         assert_eq!(metrics.global_topk_total(), 1);
         // Region-less /pipe cannot route: pipe ids are per-region.
-        let (_, resp) = route_request(&get("/pipe?id=1"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/pipe?id=1"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 400);
         assert!(resp.body.contains("per-region"), "{}", resp.body);
     }
@@ -1514,15 +1596,15 @@ mod tests {
         let ctx = sharded_ctx();
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
         ctx.shards().get("region_a").unwrap().degrade("checksum mismatch".into());
-        let (_, resp) = route_request(&get("/top?region=region_a"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/top?region=region_a"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("degraded: checksum mismatch"), "{}", resp.body);
         assert!(resp.body.contains("\"shard\":\"region_a\""), "{}", resp.body);
         // The sibling still answers…
-        let (_, resp) = route_request(&get("/top?region=region_b"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/top?region=region_b"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 200);
         // …but the global merge refuses a partial fleet.
-        let (_, resp) = route_request(&get("/top"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/top"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("\"shards\":[\"region_a\"]"), "{}", resp.body);
         assert_eq!(metrics.shard_unavailable_total(0), 2);
@@ -1532,33 +1614,33 @@ mod tests {
     fn healthz_reports_readiness_and_degrade_503s_carry_retry_after() {
         let ctx = sharded_ctx();
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
-        let (route, resp) = route_request(&get("/healthz"), &ctx, &metrics, 5);
+        let (route, resp) = route_uncached(&get("/healthz"), &ctx, &metrics, 5);
         assert_eq!(route, Route::Healthz);
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, "{\"status\":\"ok\"}");
         assert!(resp.header("Retry-After").is_none());
         ctx.shards().get("region_a").unwrap().degrade("bad bytes".into());
         // Readiness flips to 503 naming the degraded shard…
-        let (_, resp) = route_request(&get("/healthz"), &ctx, &metrics, 5);
+        let (_, resp) = route_uncached(&get("/healthz"), &ctx, &metrics, 5);
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("\"shards\":[\"region_a\"]"), "{}", resp.body);
         assert_eq!(resp.header("Retry-After"), Some("5"));
         // …and every other degrade path advertises the same Retry-After:
         // region-routed, global merge, and batch.
-        let (_, resp) = route_request(&get("/top?region=region_a"), &ctx, &metrics, 5);
+        let (_, resp) = route_uncached(&get("/top?region=region_a"), &ctx, &metrics, 5);
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header("Retry-After"), Some("5"));
-        let (_, resp) = route_request(&get("/top"), &ctx, &metrics, 5);
+        let (_, resp) = route_uncached(&get("/top"), &ctx, &metrics, 5);
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header("Retry-After"), Some("5"));
         let mut req = get("/batch");
         req.method = "POST".into();
         req.body = "region=region_a top 1\n".into();
-        let (_, resp) = route_request(&req, &ctx, &metrics, 5);
+        let (_, resp) = route_uncached(&req, &ctx, &metrics, 5);
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header("Retry-After"), Some("5"));
         // Healthy responses never carry it.
-        let (_, resp) = route_request(&get("/top?region=region_b"), &ctx, &metrics, 5);
+        let (_, resp) = route_uncached(&get("/top?region=region_b"), &ctx, &metrics, 5);
         assert_eq!(resp.status, 200);
         assert!(resp.header("Retry-After").is_none());
     }
@@ -1575,15 +1657,15 @@ mod tests {
     fn sharded_model_inventories_every_shard_and_riskmap_is_refused() {
         let ctx = sharded_ctx();
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
-        let (_, resp) = route_request(&get("/model"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/model"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 200);
         assert!(resp.body.starts_with("{\"shards\":2,"), "{}", resp.body);
         assert!(resp.body.contains("\"shard\":\"region_a\""));
         assert!(resp.body.contains("\"status\":\"serving\""));
         ctx.shards().get("region_b").unwrap().degrade("boom".into());
-        let (_, resp) = route_request(&get("/model"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/model"), &ctx, &metrics, 1);
         assert!(resp.body.contains("\"status\":\"degraded\",\"fault\":\"boom\""), "{}", resp.body);
-        let (_, resp) = route_request(&get("/riskmap.svg"), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&get("/riskmap.svg"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 404);
         assert!(resp.body.contains("single-region"), "{}", resp.body);
     }
@@ -1595,7 +1677,7 @@ mod tests {
         let mut req = get("/batch");
         req.method = "POST".into();
         req.body = "region=region_b pipe 9\ntop 2\nregion=region_a top 1\n".into();
-        let (route, resp) = route_request(&req, &ctx, &metrics, 1);
+        let (route, resp) = route_uncached(&req, &ctx, &metrics, 1);
         assert_eq!(route, Route::Batch);
         assert_eq!(resp.status, 200, "{}", resp.body);
         // Line 1: shard-routed pipe lookup; line 2: global top with region
@@ -1607,26 +1689,26 @@ mod tests {
         assert_eq!(metrics.global_topk_total(), 1);
         // Unknown region in a batch line fails the whole batch, typed.
         req.body = "region=region_z top 1\n".into();
-        let (_, resp) = route_request(&req, &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&req, &ctx, &metrics, 1);
         assert_eq!(resp.status, 404);
         assert!(resp.body.contains("\"regions\":["));
         // Region-less pipe line on a sharded server is a typed 400.
         req.body = "pipe 1\n".into();
-        let (_, resp) = route_request(&req, &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&req, &ctx, &metrics, 1);
         assert_eq!(resp.status, 400);
         assert!(resp.body.contains("region=<key>"), "{}", resp.body);
         // A degraded shard fails batches that reference it, including via
         // a global line.
         ctx.shards().get("region_a").unwrap().degrade("bad".into());
         req.body = "region=region_a top 1\n".into();
-        let (_, resp) = route_request(&req, &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&req, &ctx, &metrics, 1);
         assert_eq!(resp.status, 503);
         req.body = "top 1\n".into();
-        let (_, resp) = route_request(&req, &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&req, &ctx, &metrics, 1);
         assert_eq!(resp.status, 503);
         // …but a batch touching only healthy shards still works.
         req.body = "region=region_b top 1\n".into();
-        let (_, resp) = route_request(&req, &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&req, &ctx, &metrics, 1);
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
 
@@ -1660,19 +1742,19 @@ mod tests {
         let ctx = sharded_ctx();
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
         // Wrong method.
-        let (route, resp) = route_request(&get("/aggregate"), &ctx, &metrics, 1);
+        let (route, resp) = route_uncached(&get("/aggregate"), &ctx, &metrics, 1);
         assert_eq!(route, Route::Other);
         assert_eq!(resp.status, 405);
         // Malformed spec: typed 400 naming the problem.
         let (route, resp) =
-            route_request(&post("/aggregate", "{\"group_by\":[]}"), &ctx, &metrics, 1);
+            route_uncached(&post("/aggregate", "{\"group_by\":[]}"), &ctx, &metrics, 1);
         assert_eq!(route, Route::Aggregate);
         assert_eq!(resp.status, 400);
         assert!(resp.body.contains("group_by"), "{}", resp.body);
         // Attribute query against attribute-less snapshots: typed 400
         // naming the bare shards, not zeros.
         let spec = r#"{"group_by":["material"],"aggregates":[{"op":"count"}]}"#;
-        let (_, resp) = route_request(&post("/aggregate", spec), &ctx, &metrics, 1);
+        let (_, resp) = route_uncached(&post("/aggregate", spec), &ctx, &metrics, 1);
         assert_eq!(resp.status, 400);
         assert!(resp.body.contains("pipe_attributes"), "{}", resp.body);
         assert!(resp.body.contains("\"shards\":[\"region_a\",\"region_b\"]"), "{}", resp.body);
@@ -1683,7 +1765,7 @@ mod tests {
         let ctx = sharded_ctx();
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
         let spec = r#"{"group_by":["region"],"aggregates":[{"op":"count"},{"op":"max","field":"risk"}]}"#;
-        let (route, resp) = route_request(&post("/aggregate", spec), &ctx, &metrics, 2);
+        let (route, resp) = route_uncached(&post("/aggregate", spec), &ctx, &metrics, 2);
         assert_eq!(route, Route::Aggregate);
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert_eq!(
@@ -1696,7 +1778,7 @@ mod tests {
         assert_eq!(metrics.shard_requests(1), 1);
         // A degraded shard refuses the whole aggregate, with Retry-After.
         ctx.shards().get("region_b").unwrap().degrade("bad bytes".into());
-        let (_, resp) = route_request(&post("/aggregate", spec), &ctx, &metrics, 2);
+        let (_, resp) = route_uncached(&post("/aggregate", spec), &ctx, &metrics, 2);
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("\"shards\":[\"region_b\"]"), "{}", resp.body);
         assert_eq!(resp.header("Retry-After"), Some("2"));
@@ -1715,11 +1797,11 @@ mod tests {
         );
         let metrics = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
         let spec_body = r#"{"group_by":["material","decade"],"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"},{"op":"avg","field":"risk"}]}"#;
-        let (_, full) = route_request(&post("/aggregate", spec_body), &ctx, &metrics, 1);
+        let (_, full) = route_uncached(&post("/aggregate", spec_body), &ctx, &metrics, 1);
         assert_eq!(full.status, 200, "{}", full.body);
         // The ?partial=1 answer re-parses and re-merges to the same body —
         // what a federation front end does with backend replies.
-        let (_, partial) = route_request(&post("/aggregate?partial=1", spec_body), &ctx, &metrics, 1);
+        let (_, partial) = route_uncached(&post("/aggregate?partial=1", spec_body), &ctx, &metrics, 1);
         assert_eq!(partial.status, 200, "{}", partial.body);
         let spec = AggregateSpec::parse(spec_body).unwrap();
         let wire = aggregate::parse_partial(&spec, &partial.body).expect("valid partial");
@@ -1727,11 +1809,11 @@ mod tests {
         assert_eq!(full.body, aggregate::render_aggregate(&spec, groups, budget));
         // Budget mode over the wire too.
         let budget_body = r#"{"group_by":["region"],"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"}],"budget":{"length_m":250}}"#;
-        let (_, full) = route_request(&post("/aggregate", budget_body), &ctx, &metrics, 1);
+        let (_, full) = route_uncached(&post("/aggregate", budget_body), &ctx, &metrics, 1);
         assert_eq!(full.status, 200, "{}", full.body);
         assert!(full.body.contains("\"budget\":{\"length_m\":250,"), "{}", full.body);
         let (_, partial) =
-            route_request(&post("/aggregate?partial=1", budget_body), &ctx, &metrics, 1);
+            route_uncached(&post("/aggregate?partial=1", budget_body), &ctx, &metrics, 1);
         let spec = AggregateSpec::parse(budget_body).unwrap();
         let wire = aggregate::parse_partial(&spec, &partial.body).expect("valid partial");
         let (groups, b) = aggregate::merge_partials(&spec, &[wire]);

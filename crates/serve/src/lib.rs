@@ -56,6 +56,14 @@
 //!   per-shard with partial states merged deterministically, so every
 //!   topology — monolithic, sharded, federated — answers byte-identically.
 //!   The query reference and quickstart live in `docs/AGGREGATE.md`.
+//! * `cache` (crate-private) — the epoch-keyed result cache. The routers
+//!   consult it where they have already resolved a request's shard, fleet,
+//!   or federation scope: they read that scope's epoch, count the request,
+//!   and let the cache answer from rendered bytes, coalesce identical
+//!   misses, or compute through a closure. It knows no topology, and
+//!   serves `ETag`/`304` revalidation whether or not `PIPEFAIL_CACHE`
+//!   stores anything. `HEAD` is answered by the connection core as the GET
+//!   without its body.
 //! * [`metrics`] — lock-free request counters (including keep-alive reuse
 //!   and reload outcomes) and per-route latency histograms, exposed at
 //!   `/metrics` in Prometheus text exposition format.

@@ -99,6 +99,10 @@ pub(crate) fn sleep_interruptible(total: Duration, shutdown: &AtomicBool) {
 /// `ServerConfig::snapshot_path`) stands in for the *first* shard when it
 /// has none — exactly the single-snapshot configuration. Joined by
 /// `ServerHandle::shutdown` via the shared shutdown flag.
+///
+/// The baseline stamps are taken here, before the thread exists: `serve`
+/// returns only after this call, so any file replaced after `serve`
+/// returns differs from its baseline and is reloaded (or rejected).
 pub(crate) fn spawn_watcher(
     ctx: Arc<ServeContext>,
     metrics: Arc<Metrics>,
@@ -106,25 +110,25 @@ pub(crate) fn spawn_watcher(
     poll: Duration,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
+    // The effective watch list, parallel to the shard set: a shard
+    // without a path (built in-process) is simply never reloaded.
+    let paths: Vec<Option<PathBuf>> = ctx
+        .shards()
+        .shards()
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| {
+            shard
+                .path()
+                .map(Path::to_path_buf)
+                .or_else(|| if i == 0 { override_path.clone() } else { None })
+        })
+        .collect();
+    let mut last: Vec<Option<(SystemTime, u64, u64)>> = paths
+        .iter()
+        .map(|p| p.as_deref().and_then(stamp))
+        .collect();
     std::thread::spawn(move || {
-        // The effective watch list, parallel to the shard set: a shard
-        // without a path (built in-process) is simply never reloaded.
-        let paths: Vec<Option<PathBuf>> = ctx
-            .shards()
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                shard
-                    .path()
-                    .map(Path::to_path_buf)
-                    .or_else(|| if i == 0 { override_path.clone() } else { None })
-            })
-            .collect();
-        let mut last: Vec<Option<(SystemTime, u64, u64)>> = paths
-            .iter()
-            .map(|p| p.as_deref().and_then(stamp))
-            .collect();
         let policy = ctx.shards().policy();
         while !shutdown.load(Ordering::SeqCst) {
             sleep_interruptible(poll, &shutdown);

@@ -7,7 +7,11 @@
 //! * `ETag` round trips: a conditional GET with the returned validator is
 //!   a `304` with an empty body, and `HEAD` answers the GET's headers
 //!   (including `Content-Length` and `ETag`) without writing body bytes —
-//!   proven by keep-alive framing staying aligned;
+//!   proven by keep-alive framing staying aligned; a `304` carries no
+//!   `Content-Length`;
+//! * `/metrics`: hits and `304`s count the shard, global-merge, and
+//!   per-route series exactly like recomputes, so a cache-on and a
+//!   cache-off server expose identical series;
 //! * invalidation under churn: keep-alive clients drive repeated queries
 //!   through an atomic snapshot rename and a corrupt-swap degrade → heal;
 //!   once a new ranking (or the degraded 503) is observed, no stale-epoch
@@ -20,7 +24,7 @@
 mod common;
 
 use common::{
-    get_if_none_match, get_once, head_request, post_once, request_once, Conn,
+    get_if_none_match, get_once, get_request, head_request, post_once, request_once, Conn,
 };
 use common::faultproxy::{Fault, FaultProxy};
 use pipefail_core::model::{RiskRanking, RiskScore};
@@ -280,6 +284,121 @@ fn etag_conditional_gets_and_head_answer() {
     assert_eq!(conn.get("/top?k=7").body, full.body);
 
     handle.shutdown();
+}
+
+/// A `304` is header-only and carries no `Content-Length` (RFC 9110
+/// §8.6 allows only the 200 body's length). Pipelined behind and ahead of
+/// full GETs on one keep-alive connection, every response stays aligned.
+#[test]
+fn not_modified_carries_no_content_length_and_keeps_keep_alive_aligned() {
+    let handle = serve(
+        Arc::new(ServeContext::new(scorer("Region A", 50, 1.0))),
+        &config(true),
+    )
+    .expect("server starts");
+    let mut conn = Conn::connect(handle.addr());
+    let full = conn.get("/top?k=7");
+    let etag = full.header("etag").expect("validator").to_string();
+    let conditional = get_if_none_match("/top?k=7", &etag, true);
+    conn.send(&format!("{conditional}{conditional}{}", get_request("/top?k=7", true)));
+    for _ in 0..2 {
+        let not_modified = conn.read_response();
+        assert_eq!(not_modified.status, 304);
+        assert_eq!(not_modified.header("content-length"), None, "{not_modified:?}");
+        assert_eq!(not_modified.header("etag"), Some(etag.as_str()));
+        not_modified.assert_connection("keep-alive");
+    }
+    assert_eq!(conn.read_response().body, full.body, "keep-alive desync after 304");
+    handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// A stored answer counts in /metrics exactly like a computed one.
+// ---------------------------------------------------------------------------
+
+/// The `/metrics` lines that account for which shard or backend served
+/// each query, and on which route.
+fn routing_series(addr: SocketAddr) -> Vec<String> {
+    const PREFIXES: [&str; 4] = [
+        "pipefail_shard_requests{",
+        "pipefail_shard_unavailable{",
+        "pipefail_global_topk_total ",
+        "pipefail_requests{",
+    ];
+    get_once(addr, "/metrics")
+        .body
+        .lines()
+        .filter(|l| PREFIXES.iter().any(|p| l.starts_with(p)))
+        .map(String::from)
+        .collect()
+}
+
+/// Cache hits and `304`s must move the routing counters exactly as a
+/// recompute would: a cache-on and a cache-off server fed the same stream
+/// (every request twice, plus a conditional GET on each validator) expose
+/// identical per-shard, global-merge and per-route series, on every
+/// topology.
+#[test]
+fn stored_answers_count_like_computed_ones_on_every_topology() {
+    let sizes = [(30, 1.0), (20, 2.0)];
+    let back_a = mono(30, 1.0, true);
+    let back_b = serve(
+        Arc::new(ServeContext::new(scorer("Region B", 20, 2.0))),
+        &config(true),
+    )
+    .expect("backend b");
+    let targets = [("Region A", back_a.addr()), ("Region B", back_b.addr())];
+    let topologies = [
+        (
+            mono(30, 1.0, true),
+            mono(30, 1.0, false),
+            &[
+                "/top?k=5",
+                "/pipe?id=3",
+                "/pipe?id=999",
+                "/top?region=region_a&k=4",
+                "/pipe?region=region_a&id=4",
+            ][..],
+        ),
+        (
+            sharded(&sizes, true),
+            sharded(&sizes, false),
+            &[
+                "/top?k=5",
+                "/top?region=region_b&k=3",
+                "/pipe?region=region_a&id=4",
+                "/pipe?region=region_b&id=999",
+            ][..],
+        ),
+        (
+            federate(&targets, true),
+            federate(&targets, false),
+            &["/top?k=5", "/top?region=region_b&k=3", "/pipe?region=region_a&id=4"][..],
+        ),
+    ];
+    for (on, off, paths) in &topologies {
+        for server in [on, off] {
+            let addr = server.addr();
+            // A federation front end's generation moves when it first sees
+            // each backend's epoch; settle it so the validators hold.
+            get_once(addr, "/top?k=1");
+            for path in *paths {
+                let first = get_once(addr, path);
+                assert_eq!(get_once(addr, path).body, first.body, "{path}");
+                if let Some(etag) = first.header("etag") {
+                    let revalidated = request_once(addr, &get_if_none_match(path, etag, false));
+                    assert_eq!(revalidated.status, 304, "{path}");
+                }
+            }
+            for _ in 0..2 {
+                assert_eq!(post_once(addr, "/aggregate", GROUP_SPEC).status, 200);
+            }
+        }
+        let counted = routing_series(on.addr());
+        assert!(counted.iter().any(|l| l.starts_with("pipefail_shard_requests{")), "{counted:?}");
+        assert_eq!(counted, routing_series(off.addr()));
+        assert!(metric(on.addr(), "pipefail_cache_hits_total") > 0);
+    }
 }
 
 // ---------------------------------------------------------------------------

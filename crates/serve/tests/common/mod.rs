@@ -78,8 +78,9 @@ impl Conn {
     /// the invariants every response must satisfy: a well-formed
     /// `HTTP/1.1 <code> <reason>` status line, `Content-Type`,
     /// `Content-Length`, and `Connection` headers present, and a body of
-    /// exactly the declared length. Bytes past the declared length stay
-    /// buffered for the next pipelined response.
+    /// exactly the declared length. A `304` is header-only whatever its
+    /// headers say (RFC 9112 §6.3). Bytes past the response stay buffered
+    /// for the next pipelined response.
     pub fn read_response(&mut self) -> HttpResponse {
         let mut chunk = [0u8; 1024];
         let head_end = loop {
@@ -122,10 +123,14 @@ impl Conn {
                 .map(|(_, v)| v.as_str())
         };
         assert!(header("content-type").is_some(), "missing Content-Type: {head:?}");
-        let content_length: usize = header("content-length")
-            .unwrap_or_else(|| panic!("missing Content-Length: {head:?}"))
-            .parse()
-            .expect("integer Content-Length");
+        let content_length: usize = if status == 304 {
+            0
+        } else {
+            header("content-length")
+                .unwrap_or_else(|| panic!("missing Content-Length: {head:?}"))
+                .parse()
+                .expect("integer Content-Length")
+        };
         assert!(
             matches!(header("connection"), Some("close" | "keep-alive")),
             "missing/invalid Connection header: {head:?}"

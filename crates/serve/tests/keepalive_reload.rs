@@ -8,7 +8,8 @@
 //!   a capped connection is closed at the request cap;
 //! * a snapshot swap on disk changes the served ranking with zero failed
 //!   requests for a client polling mid-stream, while a corrupt replacement
-//!   is rejected and the old scorer keeps serving.
+//!   is rejected and the old scorer keeps serving;
+//! * a replacement published the moment `serve` returns is reloaded.
 
 mod common;
 
@@ -19,6 +20,7 @@ use pipefail_network::ids::PipeId;
 use pipefail_serve::http::{render_model, render_top_k};
 use pipefail_serve::{serve, ServeContext, ServerConfig, Scorer};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -275,6 +277,54 @@ fn corrupt_replacement_is_rejected_and_the_old_scorer_keeps_serving() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(get_once(addr, "/top?k=5").body, reference_recovery);
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// The watcher's baseline is the file `serve` started on: a replacement
+/// renamed over it the moment `serve` returns — before the watcher thread
+/// has necessarily run — is still reloaded.
+#[test]
+fn replacement_renamed_as_serve_returns_is_reloaded() {
+    let path = temp_path("first_stamp.pfsnap");
+    let staged = temp_path("first_stamp.staged");
+    snapshot(30, 1.0, 0).save(&path).expect("save initial snapshot");
+    let replacement = snapshot(30, 7.0, 1);
+    let reference = render_top_k(&Scorer::new(replacement.clone()).expect("valid snapshot"), 5);
+    replacement.save(&staged).expect("stage replacement");
+
+    let config = ServerConfig {
+        reload_poll_secs: 0.05,
+        snapshot_path: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let ctx = Arc::new(ServeContext::new(Scorer::load(&path).expect("load")));
+    // Keep the cores busy across `serve` and the rename, so the watcher
+    // thread has likely not run yet when the file changes.
+    let busy = AtomicBool::new(true);
+    let (started, renamed) = std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                while busy.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let started = serve(ctx, &config);
+        let renamed = std::fs::rename(&staged, &path);
+        busy.store(false, Ordering::Relaxed);
+        (started, renamed)
+    });
+    let handle = started.expect("server starts");
+    renamed.expect("atomic rename");
+
+    let metrics = handle.metrics();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.reloads_total() == 0 {
+        assert!(Instant::now() < deadline, "replacement never reloaded");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(get_once(handle.addr(), "/top?k=5").body, reference);
     handle.shutdown();
     std::fs::remove_file(&path).ok();
 }

@@ -79,7 +79,7 @@ fn main() {
     let path = std::env::temp_dir().join("pipefail_example.pfsnap");
     let snap = Snapshot::from_fit(&model, region.name(), 7, &ranking);
     snap.save(&path).expect("save snapshot");
-    println!("snapshot: {} bytes -> {}", snap.to_bytes().len(), path.display());
+    println!("snapshot: {} bytes -> {}", snap.to_bytes_v2().len(), path.display());
 
     // 3. Serve: load the snapshot into a scorer, bind an ephemeral port,
     //    and arm the hot-reload watcher on the snapshot file.

@@ -61,14 +61,12 @@ USAGE:
       Fit all five compared models and print the AUC table (--full uses the
       full MCMC schedules).
   pipefail snapshot --data DIR --out FILE [--model NAME] [--seed N] [--full]
-                    [--format v1|v2]
       Fit a model and freeze its posterior summary plus the full risk
-      ranking into a versioned snapshot file (see docs/SNAPSHOT_FORMAT.md).
-      --format picks the encoding: v2 (default) is the aligned columnar
-      layout the server memory-maps for O(ms) loads; v1 is the legacy
-      layout, which the server parses into an owned v2 copy. Per-pipe attributes (length, material, laid year)
-      are embedded so the server can answer POST /aggregate pipelines (see
-      docs/AGGREGATE.md).
+      ranking into a v2 snapshot file, the aligned columnar layout the
+      server memory-maps for O(ms) loads (see docs/SNAPSHOT_FORMAT.md;
+      legacy v1 files still load). Per-pipe attributes (length, material,
+      laid year) are embedded so the server can answer POST /aggregate
+      pipelines (see docs/AGGREGATE.md).
   pipefail serve (--snapshot FILE [--snapshot FILE ...] | --snapshot-dir DIR
                   | --backend KEY=HOST:PORT [--backend KEY=HOST:PORT ...])
                  [--addr HOST:PORT] [--data DIR] [--max-requests N]
@@ -257,15 +255,10 @@ fn cmd_snapshot(options: &Options) -> Result<(), String> {
             .map(|s| f64::from(ds.pipe(s.pipe).laid_year))
             .collect(),
     ));
-    let format = match opt(options, "format") {
-        None => SnapshotFormat::V2,
-        Some(label) => SnapshotFormat::parse(label)
-            .ok_or_else(|| format!("unknown --format {label:?} (expected v1 or v2)"))?,
-    };
     let path = PathBuf::from(out);
-    snap.save_as(&path, format).map_err(|e| e.to_string())?;
+    snap.save(&path).map_err(|e| e.to_string())?;
     println!(
-        "{}: froze {} ranked pipes + {} posterior sections ({format}) -> {}",
+        "{}: froze {} ranked pipes + {} posterior sections (v2) -> {}",
         snap.model,
         snap.scores.len(),
         snap.sections.len(),
