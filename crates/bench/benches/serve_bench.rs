@@ -48,7 +48,7 @@
 //!
 //! The `serve/epoll/open_loop/*` entries come from the open-loop Poisson
 //! load generator (see [`open_loop`]): a concurrency sweep against the
-//! epoll event-loop core at a fixed offered rate, recording
+//! epoll connection core at a fixed offered rate, recording
 //! coordinated-omission-free latency percentiles per point. (The
 //! `serve/threaded/open_loop/*` entries already in `BENCH_perf.json` are
 //! history from the thread-per-connection core this crate no longer
@@ -734,8 +734,8 @@ mod open_loop {
     /// population, so every key recurs and is cacheable. The aggregates
     /// are the point: against the 100k-pipe table an uncached scan costs
     /// real milliseconds, so with the cache off the tail requests occupy
-    /// workers and queue the hot key behind them; with the cache on both
-    /// collapse to a buffer replay. Deterministic, so cache-on and
+    /// serving threads and queue the hot key behind them; with the cache
+    /// on both collapse to a buffer replay. Deterministic, so cache-on and
     /// cache-off see the identical mix.
     fn skewed_requests() -> Vec<String> {
         (0..100)
@@ -908,13 +908,12 @@ mod open_loop {
         requests: Arc<Vec<String>>,
     ) -> Point {
         let config = ServerConfig {
-            // The sweep measures raw concurrency: admission off, keep-alive
-            // uncapped, a fixed worker pool so every host scores alike.
-            // The result cache is off for the sweep and swept explicitly by
-            // the cache comparison.
+            // The sweep measures raw concurrency: no connection cap,
+            // keep-alive uncapped, a fixed set of serving threads so every
+            // host serves alike. The result cache is off for the sweep and
+            // swept explicitly by the cache comparison.
             keepalive_requests: 0,
             max_connections: 0,
-            max_inflight: 0,
             workers: 8,
             cache,
             ..ServerConfig::default()

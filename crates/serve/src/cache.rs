@@ -41,9 +41,10 @@
 //! nothing.
 //!
 //! Hits rebuild a [`Response`] around the shared `Arc<str>` body — no
-//! body copy, no header vector — and the workers render it into a pooled
-//! frame buffer, so a cache hit allocates only its key on the request
-//! path once the pools are warm.
+//! body copy, no header vector — and the connection core renders it into
+//! the connection's output buffer, whose capacity outlives the request, so
+//! a cache hit allocates only its key on the request path once that buffer
+//! is warm.
 
 use crate::http::{Body, Response, ServerConfig};
 use crate::metrics::Metrics;

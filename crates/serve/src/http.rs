@@ -1,9 +1,10 @@
 //! A minimal hand-rolled HTTP/1.1 server for the scoring engine.
 //!
-//! No async runtime, no HTTP crate — one epoll event-loop thread owns the
-//! listener and every connection, and a fixed pool of worker threads does
-//! the scoring, in the same spirit as the workspace's hand-rolled CSV and
-//! SVG writers. Serving is Linux-only: elsewhere [`serve`] returns
+//! No async runtime, no HTTP crate — a fixed set of identical serving
+//! threads shares one epoll instance over the listener and every
+//! connection, and each request is answered on the thread that read it, in
+//! the same spirit as the workspace's hand-rolled CSV and SVG writers.
+//! Serving is Linux-only: elsewhere [`serve`] returns
 //! [`ServeError::BadConfig`]. On each connection, requests are parsed
 //! incrementally off one buffer (pipelined requests included) by
 //! [`crate::parser`], responses carry exact `Content-Length` framing so the
@@ -46,7 +47,7 @@ use pipefail_network::ids::PipeId;
 use pipefail_network::split::TrainTestSplit;
 use pipefail_par::TaskPool;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,7 +59,7 @@ use std::time::Duration;
 /// values fall back to the default).
 pub const HTTP_TIMEOUT_ENV: &str = "PIPEFAIL_HTTP_TIMEOUT_SECS";
 
-/// Environment variable: worker-thread count (`0`/unset = auto).
+/// Environment variable: serving-thread count (`0`/unset = auto).
 pub const HTTP_WORKERS_ENV: &str = "PIPEFAIL_HTTP_WORKERS";
 
 /// Environment variable: maximum requests served per connection before the
@@ -78,11 +79,6 @@ pub const HTTP_RELOAD_ENV: &str = "PIPEFAIL_HTTP_RELOAD_SECS";
 /// when nothing is sheddable, new connections get `429` + `Retry-After`.
 pub const HTTP_MAX_CONNS_ENV: &str = "PIPEFAIL_HTTP_MAX_CONNS";
 
-/// Environment variable: maximum requests simultaneously in flight at the
-/// worker pool (`0` = unbounded); excess parsed requests are answered
-/// `429` + `Retry-After` without queueing.
-pub const HTTP_INFLIGHT_ENV: &str = "PIPEFAIL_HTTP_INFLIGHT";
-
 /// Environment variable: result-cache switch — `off`/`0`/`false` disables
 /// the rendered-response cache (every request recomputes). `ETag`/`304`
 /// revalidation and `HEAD` synthesis stay on either way, so observable
@@ -99,7 +95,8 @@ pub const CACHE_BYTES_ENV: &str = "PIPEFAIL_CACHE_BYTES";
 pub struct ServerConfig {
     /// Bind address; port `0` asks the OS for an ephemeral port (tests).
     pub addr: String,
-    /// Worker threads; `0` = auto (available parallelism, capped at 8).
+    /// Serving threads; `0` = auto (available parallelism, at least 2,
+    /// at most 8). Each answers one connection's requests at a time.
     pub workers: usize,
     /// Cumulative per-request deadline in seconds, counted from the first
     /// byte of a request — the serving analogue of the fit engine's
@@ -126,9 +123,6 @@ pub struct ServerConfig {
     /// Maximum open connections (`0` = unlimited). See
     /// [`HTTP_MAX_CONNS_ENV`].
     pub max_connections: usize,
-    /// Maximum in-flight requests at the workers (`0` = unbounded). See
-    /// [`HTTP_INFLIGHT_ENV`].
-    pub max_inflight: usize,
     /// Whether the epoch-keyed result cache stores rendered responses
     /// (see [`CACHE_ENV`]). Off still answers `ETag`/`304`/`HEAD`
     /// identically — the knob trades only latency, never behaviour.
@@ -149,7 +143,6 @@ impl Default for ServerConfig {
             reload_poll_secs: 0.0,
             snapshot_path: None,
             max_connections: 8192,
-            max_inflight: 4096,
             cache: true,
             cache_bytes: 64 * 1024 * 1024,
         }
@@ -159,8 +152,8 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// Defaults overridden from the environment ([`HTTP_TIMEOUT_ENV`],
     /// [`HTTP_IDLE_ENV`], [`HTTP_WORKERS_ENV`], [`HTTP_KEEPALIVE_REQS_ENV`],
-    /// [`HTTP_RELOAD_ENV`], [`HTTP_MAX_CONNS_ENV`], [`HTTP_INFLIGHT_ENV`],
-    /// [`CACHE_ENV`], [`CACHE_BYTES_ENV`]), mirroring
+    /// [`HTTP_RELOAD_ENV`], [`HTTP_MAX_CONNS_ENV`], [`CACHE_ENV`],
+    /// [`CACHE_BYTES_ENV`]), mirroring
     /// `RetryPolicy::from_env`: unset or unparsable values keep the
     /// defaults, timeouts must be positive.
     pub fn from_env() -> Self {
@@ -196,12 +189,6 @@ impl ServerConfig {
         {
             cfg.max_connections = n;
         }
-        if let Some(n) = std::env::var(HTTP_INFLIGHT_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.max_inflight = n;
-        }
         if let Ok(v) = std::env::var(CACHE_ENV) {
             match v.to_ascii_lowercase().as_str() {
                 "off" | "0" | "false" => cfg.cache = false,
@@ -235,9 +222,9 @@ impl ServerConfig {
         if self.workers > 0 {
             self.workers
         } else {
-            // Floor of 2 even on a single-core box: with one worker, one
+            // Floor of 2 even on a single-core box: with one thread, one
             // slow request (a large `/aggregate` scan, a risk-map render)
-            // queues every other connection's requests behind it.
+            // holds every other connection's requests behind it.
             std::thread::available_parallelism()
                 .map_or(2, |n| n.get())
                 .clamp(2, 8)
@@ -252,9 +239,9 @@ fn positive_f64_env(key: &str) -> Option<f64> {
         .filter(|t| *t > 0.0)
 }
 
-/// Everything a worker needs to answer queries: the (hot-swappable)
-/// per-region shards, a task pool for `/batch` fan-out, and an optional
-/// dataset for the risk-map route.
+/// Everything a serving thread needs to answer queries: the
+/// (hot-swappable) per-region shards, a task pool for `/batch` fan-out,
+/// and an optional dataset for the risk-map route.
 #[derive(Debug)]
 pub struct ServeContext {
     /// The served shards (a single-snapshot server is a one-shard set).
@@ -327,12 +314,11 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
-    /// The event-loop thread: it owns the listener and every connection.
-    event_loop: Option<JoinHandle<()>>,
-    /// Auxiliary shutdown-aware threads joined on stop: the reload watcher
-    /// (local serving) or the backend health prober (federation).
-    background: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The serving threads' listener, shut on stop to wake them all.
+    listener: TcpListener,
+    /// Every thread joined on stop: the reload watcher (local serving) or
+    /// the backend health prober (federation), then the serving threads.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -355,16 +341,11 @@ impl ServerHandle {
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the event loop out of `epoll_wait` with a throwaway
-        // connection; it sees the flag and exits.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.event_loop.take() {
-            let _ = h.join();
-        }
-        for h in self.background.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+        // A shut listener stays ready: every serving thread wakes out of
+        // `epoll_wait`, sees the flag and exits.
+        #[cfg(target_os = "linux")]
+        crate::sys::shutdown_listener(&self.listener);
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
@@ -376,8 +357,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// What a worker pool serves: anything that turns a parsed request into a
-/// routed response. The local snapshot router ([`LocalRouter`]) and the
+/// What the serving threads answer with: anything that turns a parsed
+/// request into a routed response. The local snapshot router ([`LocalRouter`]) and the
 /// federation front-end (`crate::federation`) both plug in here, sharing
 /// the whole connection layer — keep-alive loop, pipelining, timeouts,
 /// framing — unchanged.
@@ -417,7 +398,7 @@ pub(crate) fn retry_after_secs(reload_poll_secs: f64) -> u64 {
     }
 }
 
-/// Bind, spawn the event loop, worker pool, and (when configured) the
+/// Bind, spawn the serving threads and (when configured) the
 /// snapshot-reload watcher, and return immediately.
 pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHandle, ServeError> {
     let any_shard_path = ctx.shards().shards().iter().any(|s| s.path().is_some());
@@ -452,9 +433,9 @@ pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHand
     })
 }
 
-/// The handler-generic server core: bind, spawn the event loop and worker
-/// pool around `handler`, start any `background` threads (reload watcher,
-/// health prober) wired to the shutdown switch, and return immediately.
+/// The handler-generic server core: bind, spawn the serving threads around
+/// `handler`, start any `background` threads (reload watcher, health
+/// prober) wired to the shutdown switch, and return immediately.
 #[cfg(target_os = "linux")]
 pub(crate) fn serve_handler(
     handler: Arc<dyn RequestHandler>,
@@ -478,23 +459,18 @@ pub(crate) fn serve_handler(
         .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let background = background(&shutdown);
-    let (event_loop, workers) = crate::event_loop::spawn(
-        handler,
-        Arc::clone(&metrics),
-        config,
-        listener,
-        Arc::clone(&shutdown),
-    )
-    .map_err(|e| ServeError::Io(format!("event loop: {e}")))?;
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        metrics,
-        event_loop: Some(event_loop),
-        background,
-        workers,
-    })
+    let mut threads = background(&shutdown);
+    threads.extend(
+        crate::event_loop::spawn(
+            handler,
+            Arc::clone(&metrics),
+            config,
+            listener.try_clone()?,
+            Arc::clone(&shutdown),
+        )
+        .map_err(|e| ServeError::Io(format!("serving threads: {e}")))?,
+    );
+    Ok(ServerHandle { addr, shutdown, metrics, listener, threads })
 }
 
 /// The connection core is built on epoll: off Linux, refuse before
@@ -664,9 +640,10 @@ impl Response {
     }
 
     /// Serialize the full response frame — status line, framing headers,
-    /// extras, body — into a caller-owned buffer (cleared first). Workers
-    /// pass pooled buffers, so the steady-state request path (cache hits
-    /// especially) allocates nothing here; the frame goes out in one write,
+    /// extras, body — into a caller-owned buffer (cleared first). The
+    /// connection core passes each connection's output buffer, whose
+    /// capacity outlives the request, so the steady-state request path
+    /// (cache hits especially) allocates nothing here; the frame goes out in one write,
     /// since two would let Nagle hold the body back until the client ACKs
     /// the head.
     pub(crate) fn render_into(&self, frame: &mut Vec<u8>) {
@@ -719,7 +696,7 @@ impl Response {
     }
 
     /// [`Response::render_into`] into a fresh buffer (cold paths and
-    /// tests; workers reuse pooled buffers instead).
+    /// tests).
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut frame = Vec::with_capacity(128 + self.body.len());
         self.render_into(&mut frame);

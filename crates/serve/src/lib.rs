@@ -31,10 +31,11 @@
 //!   keep-alive connections with pipelined-request parsing, per-request
 //!   and idle timeouts reusing the `PIPEFAIL_*` budget-knob idiom of the
 //!   experiment runner, graceful shutdown, and an optional risk-map SVG
-//!   endpoint reusing [`pipefail_eval::riskmap`]. One connection core: a
-//!   hand-rolled epoll event loop (`event_loop`) in which one loop thread
-//!   multiplexes thousands of sockets, the worker pool only scores, and
-//!   admission control answers `429` + `Retry-After` under pressure.
+//!   endpoint reusing [`pipefail_eval::riskmap`]. One connection core
+//!   (`event_loop`): identical serving threads share one hand-rolled epoll
+//!   instance over thousands of sockets, each request is answered on the
+//!   thread that read it, and at the connection cap admission control
+//!   sheds idle connections or answers `429` + `Retry-After`.
 //!   Serving is Linux-only; elsewhere [`serve`] returns
 //!   [`ServeError::BadConfig`].
 //! * [`shards`] — shard-by-region serving: a [`ShardSet`] loads one

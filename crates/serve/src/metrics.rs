@@ -26,7 +26,7 @@ pub enum Route {
     Health,
     /// `GET /healthz` — the cheap health-check probe target. Deliberately
     /// **excluded** from the request counters/histogram (the connection
-    /// loop never calls [`Metrics::observe`] for it) so a federation
+    /// core never calls [`Metrics::observe`] for it) so a federation
     /// front-end probing every second does not pollute the serving
     /// metrics; probes count in [`Metrics::healthz_total`] instead.
     Healthz,
@@ -104,7 +104,7 @@ struct DurationHisto {
     count: AtomicU64,
 }
 
-/// Lock-free request metrics shared by all server workers.
+/// Lock-free request metrics shared by all serving threads.
 #[derive(Debug, Default)]
 pub struct Metrics {
     total: AtomicU64,
@@ -117,7 +117,8 @@ pub struct Metrics {
     /// Idle keep-alive connections closed to admit new ones at the
     /// connection cap (admission control).
     connections_shed: AtomicU64,
-    /// Requests/connections answered `429` by admission control.
+    /// Connections answered `429` at the connection cap (admission
+    /// control).
     admission_rejected: AtomicU64,
     /// Status classes 1xx..5xx.
     by_status: [AtomicU64; 5],
@@ -239,8 +240,8 @@ impl Metrics {
         self.connections_shed.load(Ordering::Relaxed)
     }
 
-    /// Record one `429` answered by admission control (in-flight bound or
-    /// un-sheddable connection cap).
+    /// Record one new connection answered `429` at the connection cap
+    /// because no open connection was sheddable.
     pub fn admission_rejected(&self) {
         self.admission_rejected.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,16 +1,16 @@
 //! Incremental HTTP/1.1 request parser for the keep-alive server.
 //!
-//! The epoll event loop reads each connection into one growing byte
+//! The epoll connection core reads each connection into one growing byte
 //! buffer and calls [`parse_request`] on it after every read; the
-//! incremental contract is what makes a single-threaded loop over
-//! thousands of fragmented sockets possible at all. The parser either produces a complete request **plus
-//! the exact number of bytes it consumed** (so pipelined requests queued
-//! behind it in the same buffer are untouched), reports that the buffer
-//! is still incomplete, or fails with a typed [`ParseError`]. It never
-//! panics on any byte sequence and never reads past the framing declared
-//! by the request itself — both properties are exercised by the
-//! adversarial proptest battery in
-//! `crates/serve/tests/parser_proptest.rs`, and the event loop's
+//! incremental contract is what lets a few serving threads multiplex
+//! thousands of fragmented sockets at all. The parser either produces a
+//! complete request **plus the exact number of bytes it consumed** (so
+//! pipelined requests queued behind it in the same buffer are untouched),
+//! reports that the buffer is still incomplete, or fails with a typed
+//! [`ParseError`]. It never panics on any byte sequence and never reads
+//! past the framing declared by the request itself — both properties are
+//! exercised by the adversarial proptest battery in
+//! `crates/serve/tests/parser_proptest.rs`, and the connection core's
 //! independence from read/write fragmentation on top of it by
 //! `crates/serve/tests/epoll_core.rs`.
 

@@ -1,8 +1,8 @@
 // Raw syscall shims for the serve layer: epoll, poll, mmap, and a
-// SO_REUSEADDR-before-bind listener. The workspace's dependency policy
-// rules out libc/nix/mio, but std already links libc on every supported
-// platform, so `extern "C"` declarations of the handful of calls we need
-// resolve at link time with no new dependency.
+// SO_REUSEADDR-before-bind listener and its shutdown. The workspace's
+// dependency policy rules out libc/nix/mio, but std already links libc on
+// every supported platform, so `extern "C"` declarations of the handful of
+// calls we need resolve at link time with no new dependency.
 //
 // Everything here is `pub(crate)`: the public surface stays the typed
 // serve API; callers never see raw fds.
@@ -71,6 +71,7 @@ mod ffi {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
+        pub fn shutdown(fd: c_int, how: c_int) -> c_int;
     }
 }
 
@@ -85,6 +86,8 @@ pub(crate) mod ep {
     pub const EPOLLOUT: u32 = 0x4;
     pub const EPOLLERR: u32 = 0x8;
     pub const EPOLLHUP: u32 = 0x10;
+    /// Disable the fd after one event until `EPOLL_CTL_MOD` re-arms it.
+    pub const EPOLLONESHOT: u32 = 1 << 30;
 }
 
 /// `struct epoll_event`. The kernel ABI packs this to 12 bytes on x86-64
@@ -184,6 +187,18 @@ impl Drop for Epoll {
         // SAFETY: we own the fd and close it exactly once.
         unsafe { ffi::close(self.fd) };
     }
+}
+
+/// Stop a listening socket for good (`shutdown(SHUT_RD)`): queued and new
+/// connection attempts are refused, `accept` fails, and the socket reports
+/// `EPOLLHUP` from now on — level-triggered, so every thread waiting on an
+/// epoll instance it is registered in wakes.
+#[cfg(target_os = "linux")]
+pub(crate) fn shutdown_listener(listener: &TcpListener) {
+    use std::os::unix::io::AsRawFd;
+    const SHUT_RD: std::os::raw::c_int = 0;
+    // SAFETY: plain syscall on an fd `listener` keeps open.
+    unsafe { ffi::shutdown(listener.as_raw_fd(), SHUT_RD) };
 }
 
 // ---------------------------------------------------------------------------

@@ -12,21 +12,29 @@
 //! protocol: at the connection cap the longest-idle keep-alive connection
 //! is shed first (quiet close, counted), and only when nothing is
 //! sheddable does a new client get `429` + `Retry-After` + close.
+//!
+//! The serving threads share one epoll instance, so three more companions
+//! pin what sharing must not break: a stalled handler holds only its own
+//! thread, `shutdown()` wakes every thread promptly, and the open-connection
+//! gauge returns to zero however (and by whom) connections are closed.
 #![cfg(target_os = "linux")]
 
 mod common;
 
+use common::faultproxy::{Fault, FaultProxy};
 use common::Conn;
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::Snapshot;
 use pipefail_network::ids::PipeId;
-use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig, ServerHandle};
+use pipefail_serve::{
+    serve, serve_federated, FedConfig, Federation, Scorer, ServeContext, ServerConfig, ServerHandle,
+};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::thread::sleep;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// 1000 pipes with strictly decreasing scores — big enough that
 /// `/top?k=1000` yields a multi-kilobyte body (so server-side writes can
@@ -254,5 +262,136 @@ fn cap_answers_429_when_nothing_is_sheddable() {
     let metrics = server.metrics();
     assert_eq!(metrics.admission_rejected_total(), 1);
     assert_eq!(metrics.connections_shed_total(), 0);
+    server.shutdown();
+}
+
+/// A handler stalled on a dark backend holds one serving thread, not the
+/// connection core: with two threads, `/health` on another connection is
+/// answered at once while the relay waits out its deadline.
+#[test]
+fn stalled_handler_holds_one_serving_thread_only() {
+    let backend = start(0);
+    let proxy = FaultProxy::start(backend.addr());
+    proxy.set_fault(Fault::Blackhole);
+    let fed = Federation::new(
+        vec![("region_a".to_string(), proxy.addr().to_string())],
+        FedConfig {
+            request_timeout_secs: 0.5,
+            retries: 0,
+            hedge_ms: Some(0),
+            // Never `Down`: a `Down` backend short-circuits instead of
+            // stalling.
+            fail_threshold: u32::MAX,
+            ..FedConfig::default()
+        },
+    )
+    .expect("federation builds");
+    let config = ServerConfig { workers: 2, ..ServerConfig::default() };
+    let front = serve_federated(Arc::new(fed), &config).expect("front end starts");
+
+    for round in 0..3 {
+        // Back to back, so both requests tend to be ready at once: a thread
+        // that took them in one batch would answer `/health` only after
+        // the stall.
+        let mut relay = Conn::connect(front.addr());
+        relay.send(&common::get_request("/pipe?region=region_a&id=5", true));
+        let started = Instant::now();
+        let health = Conn::connect(front.addr()).get("/health");
+        let waited = started.elapsed();
+        assert_eq!(health.status, 200, "round {round}");
+        assert!(
+            waited < Duration::from_millis(250),
+            "round {round}: /health waited {waited:?} behind a stalled relay"
+        );
+        assert_eq!(relay.read_response().status, 504, "round {round}");
+    }
+    front.shutdown();
+}
+
+/// `shutdown()` wakes every serving thread, not just one: a thread left
+/// asleep would hold the join until its `epoll_wait` timeout (up to 1 s).
+#[test]
+fn shutdown_wakes_every_serving_thread() {
+    for cycle in 0..20 {
+        let server = serve(
+            Arc::new(ServeContext::new(scorer())),
+            &ServerConfig { workers: 4, ..ServerConfig::default() },
+        )
+        .expect("server start");
+        let _idle: Vec<Conn> = (0..3)
+            .map(|_| {
+                let mut conn = Conn::connect(server.addr());
+                assert_eq!(conn.get("/health").status, 200);
+                conn
+            })
+            .collect();
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "cycle {cycle}: shutdown took {took:?}");
+    }
+}
+
+/// One client ending its connection one way (`kind`); returns the socket,
+/// still open, when the server is the one that must close it.
+fn closing_client(addr: SocketAddr, kind: usize) -> Option<TcpStream> {
+    let mut stream = TcpStream::connect(addr).ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
+    let keep_alive = common::get_request("/health", true);
+    match kind {
+        // Client close after its answer (or after a `429`, or a shed).
+        0 => {
+            stream.write_all(keep_alive.as_bytes()).ok()?;
+            let _ = stream.read(&mut [0u8; 512]);
+            None
+        }
+        // Idle after its answer: swept, or shed at the cap.
+        1 | 2 => {
+            stream.write_all(keep_alive.as_bytes()).ok()?;
+            Some(stream)
+        }
+        // Stalled mid-request: answered `408`.
+        3 => {
+            stream.write_all(b"GET /top").ok()?;
+            Some(stream)
+        }
+        // Connect, then vanish without a byte.
+        _ => None,
+    }
+}
+
+/// Serving threads, the deadline sweep and the cap shedder all close
+/// connections concurrently; however a connection ends — client close,
+/// idle sweep, `408`, shed at the cap, connect-then-vanish — the
+/// open-connection gauge must come back to zero, while the clients the
+/// server must close still hold their sockets open.
+#[test]
+fn open_connection_gauge_returns_to_zero_under_concurrent_closers() {
+    let server = serve(
+        Arc::new(ServeContext::new(scorer())),
+        &ServerConfig {
+            max_connections: 8,
+            idle_timeout_secs: 0.2,
+            request_timeout_secs: 0.3,
+            workers: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server start");
+    let addr = server.addr();
+    let clients: Vec<_> = (0..48)
+        .map(|i| std::thread::spawn(move || closing_client(addr, i % 5)))
+        .collect();
+    let held: Vec<TcpStream> = clients
+        .into_iter()
+        .filter_map(|client| client.join().expect("client thread"))
+        .collect();
+    let metrics = server.metrics();
+    let deadline = Instant::now() + Duration::from_secs(3);
+    while metrics.connections_open() != 0 && Instant::now() < deadline {
+        sleep(Duration::from_millis(10));
+    }
+    assert_eq!(metrics.connections_open(), 0, "open-connection gauge leaked");
+    drop(held);
     server.shutdown();
 }

@@ -81,11 +81,11 @@ USAGE:
       PIPEFAIL_HTTP_IDLE_SECS, PIPEFAIL_HTTP_KEEPALIVE_REQS, and
       PIPEFAIL_HTTP_RELOAD_SECS (N > 0 polls every watched snapshot file
       every N seconds and hot-swaps shards independently); see
-      docs/SERVING.md. One epoll event loop drives every connection
-      (Linux only). Admission knobs: PIPEFAIL_HTTP_MAX_CONNS
+      docs/SERVING.md. PIPEFAIL_HTTP_WORKERS serving threads share one
+      epoll instance and answer each request on the thread that read it
+      (Linux only). Admission knob: PIPEFAIL_HTTP_MAX_CONNS
       (open-connection cap, idle keep-alive connections are shed first,
-      0 = unlimited) and PIPEFAIL_HTTP_INFLIGHT (in-flight request cap
-      answering 429 + Retry-After, 0 = unbounded).
+      429 + Retry-After when none is idle, 0 = unlimited).
       Repeated --backend flags start a *federation front-end* instead: no
       snapshots are loaded; region-tagged queries relay to the named
       backend serve processes over keep-alive TCP with health checks,
