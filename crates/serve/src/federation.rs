@@ -37,8 +37,10 @@
 //!   refuses `/batch` rather than re-POST blindly.
 //! * **Hedging** — after a delay derived from the backend's observed p99
 //!   latency (or a fixed `PIPEFAIL_FED_HEDGE_MS`), a duplicate request is
-//!   fired on a second connection and the first well-formed answer wins —
-//!   the classic tail-at-scale move for slow-but-alive backends.
+//!   fired on a second connection — the classic tail-at-scale move for
+//!   slow-but-alive backends. Both exchanges run on the request's own
+//!   thread, waited on together with `poll`; the first well-formed answer
+//!   wins and the loser is closed at once.
 //! * **Typed degradation** — a `Down` backend 503s *only its own region*
 //!   (with `Retry-After` derived from the probe interval); sibling
 //!   regions keep serving, and the global top-K merges the live fleet,
@@ -59,13 +61,14 @@ use crate::metrics::{Metrics, Route};
 use crate::parser::ParsedRequest;
 use crate::reload::sleep_interruptible;
 use crate::scorer::PipeRisk;
-use crate::shards::{merge_top_k, region_key, GlobalRisk};
+use crate::shards::{merge_top_k, region_key};
 use crate::ServeError;
 use pipefail_network::ids::PipeId;
 use std::fmt;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Environment variable: per-request deadline in seconds for one backend
@@ -461,7 +464,7 @@ struct BackendReply {
 /// The federation: a sorted fleet of backends plus the tuning knobs.
 #[derive(Debug)]
 pub struct Federation {
-    backends: Vec<Arc<Backend>>,
+    backends: Vec<Backend>,
     config: FedConfig,
 }
 
@@ -503,7 +506,7 @@ impl Federation {
                         "backend {key}: address {raw_addr:?} resolved to nothing"
                     ))
                 })?;
-            backends.push(Arc::new(Backend::new(key, addr)));
+            backends.push(Backend::new(key, addr));
         }
         backends.sort_by(|a, b| a.key.cmp(&b.key));
         if backends.windows(2).any(|w| w[0].key == w[1].key) {
@@ -550,6 +553,10 @@ impl Federation {
 
     // ---- wire client -----------------------------------------------------
 
+    fn timeout(&self) -> Duration {
+        Duration::from_secs_f64(self.config.request_timeout_secs)
+    }
+
     /// One request against one backend with health gating, hedging,
     /// retries, and backoff. The only public-facing failure is a typed
     /// [`FederationError`]. Callers must only route *read-only* requests
@@ -558,10 +565,8 @@ impl Federation {
     /// re-execution is free of side effects.
     fn fetch(
         &self,
-        backend: &Arc<Backend>,
-        method: &'static str,
-        path_query: &str,
-        body: &str,
+        backend: &Backend,
+        request: &[u8],
         metrics: &Metrics,
     ) -> Result<BackendReply, FederationError> {
         if backend.state() == BackendState::Down {
@@ -581,7 +586,7 @@ impl Federation {
                 backoff_ms = (backoff_ms.saturating_mul(2)).min(self.config.backoff_cap_ms);
             }
             let started = Instant::now();
-            match self.hedged_attempt(backend, method, path_query, body, metrics) {
+            match self.attempt(backend, request, true, self.hedge_delay(backend), metrics) {
                 Ok(reply) => {
                     backend.mark_success();
                     if let Some(epoch) = reply.epoch {
@@ -602,32 +607,12 @@ impl Federation {
         }))
     }
 
-    /// One attempt, hedged: fire the primary request on its own thread,
-    /// and if it hasn't answered within the hedge delay, fire a duplicate
-    /// on a second connection. First well-formed answer wins; losers are
-    /// detached (their connections still return to the pool on success).
-    fn hedged_attempt(
-        &self,
-        backend: &Arc<Backend>,
-        method: &'static str,
-        path_query: &str,
-        body: &str,
-        metrics: &Metrics,
-    ) -> Result<BackendReply, FederationError> {
-        let timeout = Duration::from_secs_f64(self.config.request_timeout_secs);
-        let deadline = Instant::now() + timeout;
-        let (tx, rx) = mpsc::channel::<(u8, Result<BackendReply, FederationError>)>();
-        spawn_attempt(
-            Arc::clone(backend),
-            method,
-            path_query.to_string(),
-            body.to_string(),
-            timeout,
-            tx.clone(),
-            0,
-        );
-
-        let hedge_delay = match self.config.hedge_ms {
+    /// How long an attempt waits before hedging: the fixed `hedge_ms`, or
+    /// the backend's observed p99 once enough samples exist. `None` means
+    /// no hedge — `hedge_ms: Some(0)`, or a delay at or past the deadline,
+    /// which could never fire.
+    fn hedge_delay(&self, backend: &Backend) -> Option<Duration> {
+        match self.config.hedge_ms {
             Some(0) => None,
             Some(ms) => Some(Duration::from_millis(ms)),
             None => backend
@@ -637,82 +622,98 @@ impl Federation {
                 .p99_us()
                 .map(Duration::from_micros),
         }
-        // A hedge delay at/after the deadline can never fire.
-        .filter(|d| *d < timeout);
+        .filter(|d| *d < self.timeout())
+    }
 
-        let mut hedged = false;
-        let first = if let Some(delay) = hedge_delay {
-            match rx.recv_timeout(delay) {
-                Ok(got) => Some(got),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    metrics.fed_hedge();
-                    hedged = true;
-                    spawn_attempt(
-                        Arc::clone(backend),
-                        method,
-                        path_query.to_string(),
-                        body.to_string(),
-                        deadline.saturating_duration_since(Instant::now()),
-                        tx.clone(),
-                        1,
-                    );
-                    None
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => None,
-            }
-        } else {
-            None
-        };
-        drop(tx);
-
-        // Drain results: the first Ok wins; an Err only settles the
-        // attempt once every in-flight request has failed (a dead primary
-        // must not mask a live hedge, and vice versa). A deadline expiry
-        // with requests still in flight is a Timeout.
-        let mut outstanding: usize = if hedged { 2 } else { 1 };
-        let mut primary_error: Option<FederationError> = None;
-        let mut hedge_error: Option<FederationError> = None;
-        let mut pending = first;
+    /// One attempt under one deadline, on the calling thread: the primary
+    /// exchange and, once `hedge_delay` passes, a duplicate on a second
+    /// connection, both waited on together with `poll`. The first complete
+    /// response wins and the other exchange is closed with it. An error
+    /// settles the attempt only once every exchange has failed, so a
+    /// primary that fails before the hedge fires ends the attempt
+    /// unhedged; at the deadline the primary's error is returned, else the
+    /// hedge's, else `Timeout`. `reuse` draws connections from the
+    /// keep-alive pool and returns the winner's to it; probes pass `false`.
+    fn attempt(
+        &self,
+        backend: &Backend,
+        request: &[u8],
+        reuse: bool,
+        hedge_delay: Option<Duration>,
+        metrics: &Metrics,
+    ) -> Result<BackendReply, FederationError> {
+        let started = Instant::now();
+        let deadline = started + self.timeout();
+        let mut hedge_at = hedge_delay.map(|d| started + d);
+        let mut live = vec![Exchange::open(backend, reuse, false, deadline)?];
+        let mut primary_error = None;
+        let mut hedge_error = None;
         loop {
-            let (tag, result) = match pending.take() {
-                Some(got) => got,
-                None => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(left) {
-                        Ok(got) => got,
-                        Err(_) => {
-                            return Err(primary_error.or(hedge_error).unwrap_or(
-                                FederationError::Timeout { backend: backend.key.clone() },
-                            ))
+            // Step every live exchange. Each step is non-blocking, so this
+            // also picks up whatever arrived while a dial held the thread.
+            let mut i = 0;
+            while i < live.len() {
+                let e = match live[i].step(request, &backend.key) {
+                    Ok(None) => {
+                        i += 1;
+                        continue;
+                    }
+                    Ok(Some((reply, keep_alive))) => {
+                        let winner = live.swap_remove(i);
+                        if winner.hedge {
+                            metrics.fed_hedge_win();
                         }
+                        if reuse && keep_alive {
+                            backend.check_in(winner.conn);
+                        }
+                        return Ok(reply);
                     }
-                }
-            };
-            match result {
-                Ok(reply) => {
-                    if tag == 1 {
-                        metrics.fed_hedge_win();
+                    Err(e) => e,
+                };
+                let failed = live.remove(i);
+                // A pooled connection that dies before its first response
+                // byte went stale between requests: redial once, uncounted.
+                let e = if failed.pooled && failed.buf.is_empty() {
+                    match dial(backend, deadline) {
+                        Ok(conn) => {
+                            live.insert(i, Exchange::new(conn, false, failed.hedge));
+                            continue;
+                        }
+                        Err(e) => e,
                     }
-                    return Ok(reply);
-                }
-                Err(e) => {
-                    if tag == 0 {
-                        primary_error = Some(e);
-                    } else {
-                        hedge_error = Some(e);
-                    }
-                    outstanding -= 1;
-                    if outstanding == 0 {
-                        // Both reported: the primary's error describes the
-                        // backend best.
-                        return Err(primary_error
-                            .or(hedge_error)
-                            .unwrap_or(FederationError::Timeout {
-                                backend: backend.key.clone(),
-                            }));
-                    }
+                } else {
+                    e
+                };
+                if failed.hedge {
+                    hedge_error = Some(e);
+                } else {
+                    primary_error = Some(e);
                 }
             }
+            let now = Instant::now();
+            if live.is_empty() || now >= deadline {
+                return Err(primary_error
+                    .or(hedge_error)
+                    .unwrap_or_else(|| FederationError::Timeout { backend: backend.key.clone() }));
+            }
+            if hedge_at.is_some_and(|at| now >= at) {
+                hedge_at = None;
+                metrics.fed_hedge();
+                match Exchange::open(backend, reuse, true, deadline) {
+                    Ok(hedge) => live.push(hedge),
+                    Err(e) => hedge_error = Some(e),
+                }
+                continue;
+            }
+            let socks: Vec<(&TcpStream, bool)> = live
+                .iter()
+                .map(|x| (&x.conn, x.written < request.len()))
+                .collect();
+            let wake = hedge_at.map_or(deadline, |at| at.min(deadline));
+            crate::sys::poll_until(&socks, wake).map_err(|e| FederationError::Io {
+                backend: backend.key.clone(),
+                detail: e.to_string(),
+            })?;
         }
     }
 
@@ -725,9 +726,9 @@ impl Federation {
     /// works, and a probe socket kept warm every `probe_secs` would hold
     /// one of the backend's connection slots forever.
     fn probe_all(&self, metrics: &Metrics) {
-        let timeout = Duration::from_secs_f64(self.config.request_timeout_secs);
+        let request = request_bytes("GET", "/healthz", "", false);
         for backend in &self.backends {
-            let ok = match probe_once(backend, "/healthz", timeout) {
+            let ok = match self.attempt(backend, &request, false, None, metrics) {
                 Ok(reply) => {
                     backend.mark_success();
                     if let Some(epoch) = reply.epoch {
@@ -745,58 +746,19 @@ impl Federation {
     }
 }
 
-/// Detached single-attempt worker: the hedging channel decides the winner;
-/// a loser finishing later is harmless (its `send` fails silently and its
-/// connection still returns to the pool).
-fn spawn_attempt(
-    backend: Arc<Backend>,
-    method: &'static str,
-    path_query: String,
-    body: String,
-    timeout: Duration,
-    tx: mpsc::Sender<(u8, Result<BackendReply, FederationError>)>,
-    tag: u8,
-) {
-    std::thread::spawn(move || {
-        let result = attempt_once(&backend, method, &path_query, &body, timeout);
-        let _ = tx.send((tag, result));
-    });
-}
-
-/// One request/response exchange against one backend, under one deadline:
-/// try a pooled keep-alive connection first; a pooled connection that dies
-/// before yielding a single response byte was stale (closed by the backend
-/// between requests) and is retried once on a fresh dial, uncounted.
-fn attempt_once(
-    backend: &Backend,
-    method: &'static str,
-    path_query: &str,
-    body: &str,
-    timeout: Duration,
-) -> Result<BackendReply, FederationError> {
-    let deadline = Instant::now() + timeout;
-    if let Some(conn) = backend.checkout() {
-        match exchange(backend, conn, method, path_query, body, deadline, true) {
-            Ok(reply) => return Ok(reply),
-            Err((e, read_any)) if read_any => return Err(e),
-            Err(_) => {} // stale pooled conn: fall through to a fresh dial
-        }
+/// One request (a body gains a `Content-Length` header); `keep_alive`
+/// asks the backend to hold the connection open for the pool.
+fn request_bytes(method: &str, path_query: &str, body: &str, keep_alive: bool) -> Vec<u8> {
+    let keep = if keep_alive { "keep-alive" } else { "close" };
+    if body.is_empty() {
+        format!("{method} {path_query} HTTP/1.1\r\nHost: backend\r\nConnection: {keep}\r\n\r\n")
+    } else {
+        format!(
+            "{method} {path_query} HTTP/1.1\r\nHost: backend\r\nContent-Length: {}\r\nConnection: {keep}\r\n\r\n{body}",
+            body.len()
+        )
     }
-    let conn = dial(backend, deadline)?;
-    exchange(backend, conn, method, path_query, body, deadline, true).map_err(|(e, _)| e)
-}
-
-/// One health-probe exchange on a dedicated one-shot connection
-/// (`Connection: close`, never pooled) — see [`Federation::probe_all`] for
-/// why probes must not hold a backend connection open.
-fn probe_once(
-    backend: &Backend,
-    path_query: &str,
-    timeout: Duration,
-) -> Result<BackendReply, FederationError> {
-    let deadline = Instant::now() + timeout;
-    let conn = dial(backend, deadline)?;
-    exchange(backend, conn, "GET", path_query, "", deadline, false).map_err(|(e, _)| e)
+    .into_bytes()
 }
 
 /// Fresh TCP dial under the remaining deadline budget.
@@ -806,7 +768,7 @@ fn dial(backend: &Backend, deadline: Instant) -> Result<TcpStream, FederationErr
         return Err(FederationError::Timeout { backend: backend.key.clone() });
     }
     let conn = TcpStream::connect_timeout(&backend.addr, left).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::TimedOut || e.kind() == std::io::ErrorKind::WouldBlock {
+        if e.kind() == ErrorKind::TimedOut || e.kind() == ErrorKind::WouldBlock {
             FederationError::Timeout { backend: backend.key.clone() }
         } else {
             FederationError::Connect {
@@ -817,10 +779,10 @@ fn dial(backend: &Backend, deadline: Instant) -> Result<TcpStream, FederationErr
     })?;
     conn.set_nodelay(true).ok();
     // Backend sockets are non-blocking for their whole (pooled) lifetime:
-    // every read/write goes through the `sys` deadline helpers, so a
-    // stalled backend can never hold a pooled connection past the request
-    // deadline — per-read socket timeouts reset on every byte dribbled,
-    // a poll()-checked deadline does not.
+    // `Federation::attempt` waits on them with `poll` against the request
+    // deadline, so a stalled backend can never hold the thread or a pooled
+    // connection past it — per-read socket timeouts reset on every byte
+    // dribbled, a deadline does not.
     conn.set_nonblocking(true)
         .map_err(|e| FederationError::Connect {
             backend: backend.key.clone(),
@@ -829,122 +791,133 @@ fn dial(backend: &Backend, deadline: Instant) -> Result<TcpStream, FederationErr
     Ok(conn)
 }
 
-/// Write one request (a body gains a `Content-Length` header) and read one
-/// exact-framed response. The error carries whether any response bytes had
-/// arrived — the caller uses it to tell a stale pooled connection (retry
-/// fresh) from a mid-response failure (surface it).
-fn exchange(
-    backend: &Backend,
-    mut conn: TcpStream,
-    method: &str,
-    path_query: &str,
-    body: &str,
-    deadline: Instant,
-    reuse: bool,
-) -> Result<BackendReply, (FederationError, bool)> {
-    let key = || backend.key.clone();
-    let left = |at: Instant| deadline.saturating_duration_since(at);
-    let io_err = |e: &std::io::Error, read_any: bool| {
-        if e.kind() == std::io::ErrorKind::TimedOut || e.kind() == std::io::ErrorKind::WouldBlock {
-            (FederationError::Timeout { backend: key() }, read_any)
-        } else {
-            (
-                FederationError::Io { backend: key(), detail: e.to_string() },
-                read_any,
-            )
-        }
-    };
+/// One request/response exchange on one non-blocking backend socket,
+/// driven by [`Federation::attempt`].
+struct Exchange {
+    conn: TcpStream,
+    /// How many request bytes the socket has taken.
+    written: usize,
+    /// The response bytes read so far.
+    buf: Vec<u8>,
+    /// The connection came from the keep-alive pool.
+    pooled: bool,
+    /// This exchange is the hedged duplicate.
+    hedge: bool,
+}
 
-    if left(Instant::now()).is_zero() {
-        return Err((FederationError::Timeout { backend: key() }, false));
+impl Exchange {
+    fn new(conn: TcpStream, pooled: bool, hedge: bool) -> Self {
+        Self { conn, written: 0, buf: Vec::new(), pooled, hedge }
     }
-    let keep = if reuse { "keep-alive" } else { "close" };
-    let request = if body.is_empty() {
-        format!("{method} {path_query} HTTP/1.1\r\nHost: backend\r\nConnection: {keep}\r\n\r\n")
-    } else {
-        format!(
-            "{method} {path_query} HTTP/1.1\r\nHost: backend\r\nContent-Length: {}\r\nConnection: {keep}\r\n\r\n{body}",
-            body.len()
-        )
-    };
-    // Non-blocking deadline I/O (poll()-bounded, EINTR-safe): expiry maps
-    // to TimedOut, which `io_err` turns into FederationError::Timeout.
-    crate::sys::write_all_deadline(&mut conn, request.as_bytes(), deadline)
-        .map_err(|e| io_err(&e, false))?;
 
-    // Read the head: bounded, deadline-driven.
-    const MAX_HEAD: usize = 16 * 1024;
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
+    /// An idle pooled connection when `reuse` allows one, else a fresh
+    /// dial (which blocks, at most until the deadline).
+    fn open(
+        backend: &Backend,
+        reuse: bool,
+        hedge: bool,
+        deadline: Instant,
+    ) -> Result<Self, FederationError> {
+        match reuse.then(|| backend.checkout()).flatten() {
+            Some(conn) => Ok(Self::new(conn, true, hedge)),
+            None => Ok(Self::new(dial(backend, deadline)?, false, hedge)),
         }
-        if buf.len() > MAX_HEAD {
-            return Err((
-                FederationError::BadResponse {
-                    backend: key(),
-                    detail: "response head too large".into(),
-                },
-                true,
-            ));
-        }
-        if left(Instant::now()).is_zero() {
-            return Err((FederationError::Timeout { backend: key() }, !buf.is_empty()));
-        }
-        match crate::sys::read_deadline(&mut conn, &mut chunk, deadline) {
-            Ok(0) => {
-                let read_any = !buf.is_empty();
-                return Err(if read_any {
-                    (
-                        FederationError::BadResponse {
-                            backend: key(),
-                            detail: "connection closed mid-head".into(),
-                        },
-                        true,
-                    )
-                } else {
-                    (
-                        FederationError::Io {
-                            backend: key(),
-                            detail: "connection closed before response".into(),
-                        },
-                        false,
-                    )
-                });
+    }
+
+    /// Write what the socket takes, read what it holds, and try to frame
+    /// the response: `Ok(None)` until it is complete, then the reply and
+    /// whether the connection can carry another request. Reading stops at
+    /// the first complete response, so an end of stream is always an
+    /// error, typed by how far the response got.
+    fn step(
+        &mut self,
+        request: &[u8],
+        key: &str,
+    ) -> Result<Option<(BackendReply, bool)>, FederationError> {
+        let io = |detail: String| FederationError::Io { backend: key.to_string(), detail };
+        while self.written < request.len() {
+            match (&self.conn).write(&request[self.written..]) {
+                Ok(0) => return Err(io("socket closed mid-write".into())),
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(io(e.to_string())),
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(io_err(&e, !buf.is_empty())),
         }
-    };
+        let mut chunk = [0u8; 8192];
+        loop {
+            match (&self.conn).read(&mut chunk) {
+                Ok(0) if self.buf.is_empty() => {
+                    return Err(io("connection closed before response".into()))
+                }
+                Ok(0) if head_end(&self.buf).is_none() => {
+                    return Err(FederationError::BadResponse {
+                        backend: key.to_string(),
+                        detail: "connection closed mid-head".into(),
+                    })
+                }
+                Ok(0) => return Err(FederationError::TruncatedBody { backend: key.to_string() }),
+                Ok(n) => {
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    let framed = parse_reply(&self.buf).map_err(|detail| {
+                        FederationError::BadResponse { backend: key.to_string(), detail }
+                    })?;
+                    if framed.is_some() {
+                        return Ok(framed);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(io(e.to_string())),
+            }
+        }
+    }
+}
 
-    // Parse the status line and the two headers that matter: framing
-    // (Content-Length) and reuse (Connection).
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+/// Largest response head accepted from a backend.
+const MAX_HEAD: usize = 16 * 1024;
+
+fn head_end(buf: &[u8]) -> Option<usize> {
+    buf.windows(4).position(|w| w == b"\r\n\r\n")
+}
+
+/// Frame one backend response from the bytes read so far: `Ok(None)`
+/// while it is incomplete, else the reply and whether the backend keeps
+/// the connection open. The error says what is wrong with the bytes.
+fn parse_reply(buf: &[u8]) -> Result<Option<(BackendReply, bool)>, String> {
+    let Some(head_end) = head_end(buf) else {
+        return if buf.len() > MAX_HEAD {
+            Err("response head too large".into())
+        } else {
+            Ok(None)
+        };
+    };
+    // Parse the status line and the headers that matter: framing
+    // (Content-Length), reuse (Connection) and the snapshot epoch.
+    let head = String::from_utf8_lossy(&buf[..head_end]);
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or("");
-    let bad = |detail: String| (FederationError::BadResponse { backend: key(), detail }, true);
     if !status_line.starts_with("HTTP/1.1 ") && !status_line.starts_with("HTTP/1.0 ") {
-        return Err(bad(format!("not an HTTP status line: {status_line:?}")));
+        return Err(format!("not an HTTP status line: {status_line:?}"));
     }
     let status: u16 = status_line
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad(format!("bad status code in {status_line:?}")))?;
+        .ok_or_else(|| format!("bad status code in {status_line:?}"))?;
     let mut content_length: Option<usize> = None;
     let mut close = status_line.starts_with("HTTP/1.0 ");
     let mut epoch: Option<u64> = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
-            return Err(bad(format!("bad header line {line:?}")));
+            return Err(format!("bad header line {line:?}"));
         };
         let name = name.trim();
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
             content_length = value.parse().ok();
             if content_length.is_none() {
-                return Err(bad(format!("bad Content-Length {value:?}")));
+                return Err(format!("bad Content-Length {value:?}"));
             }
         } else if name.eq_ignore_ascii_case("connection") {
             close = value.eq_ignore_ascii_case("close");
@@ -953,32 +926,18 @@ fn exchange(
             epoch = value.parse().ok();
         }
     }
-    let Some(content_length) = content_length else {
-        return Err(bad("missing Content-Length".into()));
-    };
-
-    // Read the body to exactly Content-Length.
-    let total = head_end + 4 + content_length;
-    while buf.len() < total {
-        if left(Instant::now()).is_zero() {
-            return Err((FederationError::Timeout { backend: key() }, true));
-        }
-        match crate::sys::read_deadline(&mut conn, &mut chunk, deadline) {
-            Ok(0) => return Err((FederationError::TruncatedBody { backend: key() }, true)),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(io_err(&e, true)),
-        }
+    let content_length = content_length.ok_or("missing Content-Length")?;
+    let total = (head_end + 4).saturating_add(content_length);
+    if buf.len() < total {
+        return Ok(None);
     }
     if buf.len() > total {
         // The backend wrote past its declared length: framing is broken,
         // the connection cannot be reused.
-        return Err(bad("response overran Content-Length".into()));
+        return Err("response overran Content-Length".into());
     }
-    let body = String::from_utf8_lossy(&buf[head_end + 4..total]).into_owned();
-    if reuse && !close {
-        backend.check_in(conn);
-    }
-    Ok(BackendReply { status, body, epoch })
+    let body = String::from_utf8_lossy(&buf[head_end + 4..]).into_owned();
+    Ok(Some((BackendReply { status, body, epoch }, !close)))
 }
 
 /// Full jitter over `[ms/2, ms]` — desynchronizes retry storms across
@@ -1077,9 +1036,8 @@ impl FederationRouter {
                 region: raw_key.to_string(),
             });
         };
-        let backend = &self.fed.backends[idx];
-        let path_query = format!("{}?{}", req.path, req.query);
-        match self.fed.fetch(backend, "GET", &path_query, "", metrics) {
+        let request = request_bytes("GET", &format!("{}?{}", req.path, req.query), "", true);
+        match self.fed.fetch(&self.fed.backends[idx], &request, metrics) {
             Ok(reply) => {
                 metrics.shard_request(idx);
                 let response = Response::json(reply.status, reply.body);
@@ -1146,77 +1104,82 @@ impl FederationRouter {
     }
 
     fn scatter_top(&self, k: usize, metrics: &Metrics) -> Response {
+        let request = request_bytes("GET", &format!("/top?k={k}"), "", true);
+        self.scatter("global top-k", &request, metrics, parse_top_entries, |live| {
+            metrics.global_topk();
+            let keys_escaped: Vec<String> = live
+                .iter()
+                .map(|(idx, _)| http::json_str(&self.fed.backends[*idx].key))
+                .collect();
+            let tables: Vec<crate::scorer::RiskSlice<'_>> =
+                live.iter().map(|(_, t)| t.as_slice().into()).collect();
+            render_global_top_k_keys(&keys_escaped, &merge_top_k(&tables, k), k)
+        })
+    }
+
+    /// Send one read-only request to every backend — one scoped thread
+    /// each, all joined before the answer — and `merge` the live replies,
+    /// decoded by `decode`, in fleet (sorted-key) order with their fleet
+    /// indices. A backend that fails, answers anything but `200`, or sends
+    /// a body `decode` rejects is missing: the body covers the live fleet
+    /// and `X-Pipefail-Partial` names the missing regions. A fully dark
+    /// fleet is a `503` with `Retry-After`, saying `what` is unavailable.
+    fn scatter<T: Send>(
+        &self,
+        what: &str,
+        request: &[u8],
+        metrics: &Metrics,
+        decode: impl Fn(&str) -> Option<T> + Sync,
+        merge: impl FnOnce(Vec<(usize, T)>) -> String,
+    ) -> Response {
         let fed = &self.fed;
-        let results: Vec<Result<Vec<PipeRisk>, FederationError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = fed
+        let decode = &decode;
+        let replies: Vec<Option<T>> = std::thread::scope(|s| {
+            let legs: Vec<_> = fed
                 .backends
                 .iter()
                 .map(|backend| {
                     s.spawn(move || {
-                        let reply = fed.fetch(backend, "GET", &format!("/top?k={k}"), "", metrics)?;
-                        if reply.status != 200 {
-                            return Err(FederationError::BadResponse {
-                                backend: backend.key.clone(),
-                                detail: format!("status {} from /top", reply.status),
-                            });
+                        let reply = fed.fetch(backend, request, metrics).ok()?;
+                        if reply.status == 200 {
+                            decode(&reply.body)
+                        } else {
+                            None
                         }
-                        parse_top_entries(&reply.body).ok_or_else(|| {
-                            FederationError::BadResponse {
-                                backend: backend.key.clone(),
-                                detail: "unparseable /top body".into(),
-                            }
-                        })
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(FederationError::Io {
-                            backend: fed.backends[i].key.clone(),
-                            detail: "scatter worker panicked".into(),
-                        })
-                    })
-                })
+            // A leg that panicked counts as a missing backend.
+            legs.into_iter()
+                .map(|leg| leg.join().ok().flatten())
                 .collect()
         });
-
-        let mut keys_escaped = Vec::new();
-        let mut tables: Vec<Vec<PipeRisk>> = Vec::new();
-        let mut missing: Vec<String> = Vec::new();
-        for (idx, result) in results.into_iter().enumerate() {
-            let backend = &fed.backends[idx];
-            match result {
-                Ok(entries) => {
-                    keys_escaped.push(http::json_str(&backend.key));
-                    tables.push(entries);
+        let mut live = Vec::new();
+        let mut missing: Vec<&str> = Vec::new();
+        for (idx, reply) in replies.into_iter().enumerate() {
+            match reply {
+                Some(value) => {
+                    live.push((idx, value));
                     metrics.shard_request(idx);
                 }
-                Err(_) => {
-                    missing.push(backend.key.clone());
+                None => {
+                    missing.push(&fed.backends[idx].key);
                     metrics.shard_unavailable(idx);
                 }
             }
         }
-        if tables.is_empty() {
+        if live.is_empty() {
             let keys: Vec<String> = missing.iter().map(|k| http::json_str(k)).collect();
             return Response::json(
                 503,
                 format!(
-                    "{{\"error\":\"global top-k unavailable: all backends degraded\",\"shards\":[{}]}}",
+                    "{{\"error\":\"{what} unavailable: all backends degraded\",\"shards\":[{}]}}",
                     keys.join(",")
                 ),
             )
             .with_header("Retry-After", fed.retry_after_secs().to_string());
         }
-        metrics.global_topk();
-        let table_refs: Vec<crate::scorer::RiskSlice<'_>> =
-            tables.iter().map(|t| t.as_slice().into()).collect();
-        let merged: Vec<GlobalRisk> = merge_top_k(&table_refs, k);
-        let body = render_global_top_k_keys(&keys_escaped, &merged, k);
-        let response = Response::json(200, body);
+        let response = Response::json(200, merge(live));
         if missing.is_empty() {
             response
         } else {
@@ -1264,86 +1227,16 @@ impl FederationRouter {
                 );
             }
         };
-        let fed = &self.fed;
-        let results: Vec<Result<aggregate::AggregatePartial, FederationError>> =
-            std::thread::scope(|s| {
-                let spec = &spec;
-                let body = req.body.as_str();
-                let handles: Vec<_> = fed
-                    .backends
-                    .iter()
-                    .map(|backend| {
-                        s.spawn(move || {
-                            let reply = fed.fetch(
-                                backend,
-                                "POST",
-                                "/aggregate?partial=1",
-                                body,
-                                metrics,
-                            )?;
-                            if reply.status != 200 {
-                                return Err(FederationError::BadResponse {
-                                    backend: backend.key.clone(),
-                                    detail: format!("status {} from /aggregate", reply.status),
-                                });
-                            }
-                            aggregate::parse_partial(spec, &reply.body).map_err(|e| {
-                                FederationError::BadResponse {
-                                    backend: backend.key.clone(),
-                                    detail: format!("unparseable aggregate partial: {e}"),
-                                }
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, h)| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(FederationError::Io {
-                                backend: fed.backends[i].key.clone(),
-                                detail: "scatter worker panicked".into(),
-                            })
-                        })
-                    })
-                    .collect()
-            });
-
-        // Backends are pre-sorted by key, so collecting the live partials
-        // in fleet order IS sorted-key order — the canonical merge order.
-        let mut partials: Vec<aggregate::AggregatePartial> = Vec::new();
-        let mut missing: Vec<String> = Vec::new();
-        for (idx, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(partial) => {
-                    partials.push(partial);
-                    metrics.shard_request(idx);
-                }
-                Err(_) => {
-                    missing.push(fed.backends[idx].key.clone());
-                    metrics.shard_unavailable(idx);
-                }
-            }
-        }
-        if partials.is_empty() {
-            let keys: Vec<String> = missing.iter().map(|k| http::json_str(k)).collect();
-            return Response::json(
-                503,
-                format!(
-                    "{{\"error\":\"aggregate unavailable: all backends degraded\",\"shards\":[{}]}}",
-                    keys.join(",")
-                ),
-            )
-            .with_header("Retry-After", fed.retry_after_secs().to_string());
-        }
-        let (groups, budget) = aggregate::merge_partials(&spec, &partials);
-        let response = Response::json(200, aggregate::render_aggregate(&spec, groups, budget));
-        if missing.is_empty() {
-            response
-        } else {
-            response.with_header("X-Pipefail-Partial", missing.join(","))
-        }
+        let request = request_bytes("POST", "/aggregate?partial=1", &req.body, true);
+        let decode = |body: &str| aggregate::parse_partial(&spec, body).ok();
+        self.scatter("aggregate", &request, metrics, decode, |live| {
+            // Backends are pre-sorted by key, so the live partials arrive
+            // in sorted-key order — the canonical merge order.
+            let partials: Vec<aggregate::AggregatePartial> =
+                live.into_iter().map(|(_, partial)| partial).collect();
+            let (groups, budget) = aggregate::merge_partials(&spec, &partials);
+            aggregate::render_aggregate(&spec, groups, budget)
+        })
     }
 
     /// The front-end's own readiness: 200 while no backend is `Down`, a
@@ -1509,6 +1402,71 @@ mod tests {
         assert_eq!(parse_top_entries("{\"results\":[]}"), Some(vec![]));
         assert_eq!(parse_top_entries("{\"nope\":1}"), None);
         assert_eq!(parse_top_entries("{\"results\":[{\"pipe\":}"), None);
+    }
+
+    #[test]
+    fn parse_reply_frames_rendered_responses_from_any_prefix() {
+        for status in [200u16, 404, 503] {
+            for body in [String::new(), "{\"ok\":1}".into(), "r".repeat(MAX_HEAD + 1)] {
+                for epoch in [None, Some(42)] {
+                    for close in [false, true] {
+                        let mut response = Response::json(status, body.clone());
+                        response.epoch = epoch;
+                        response.close = close;
+                        let bytes = response.to_bytes();
+                        let case = format!(
+                            "{status}, {} body bytes, {epoch:?}, close {close}",
+                            body.len()
+                        );
+                        for cut in 0..bytes.len() {
+                            assert!(
+                                matches!(parse_reply(&bytes[..cut]), Ok(None)),
+                                "{case}: framed at {cut} of {} bytes",
+                                bytes.len()
+                            );
+                        }
+                        let (reply, keep_alive) =
+                            parse_reply(&bytes).expect(&case).expect(&case);
+                        assert_eq!(reply.status, status, "{case}");
+                        assert_eq!(reply.body, body, "{case}");
+                        assert_eq!(reply.epoch, epoch, "{case}");
+                        assert_eq!(keep_alive, !close, "{case}");
+                        let mut over = bytes;
+                        over.push(b'x');
+                        assert_eq!(
+                            parse_reply(&over).map(|_| ()),
+                            Err("response overran Content-Length".into()),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parse_reply_types_every_malformed_head() {
+        let error = |raw: &[u8]| match parse_reply(raw) {
+            Err(detail) => detail,
+            Ok(framed) => panic!("{:?} framed as {framed:?}", String::from_utf8_lossy(raw)),
+        };
+        assert!(error(b"SSH-2.0-OpenSSH\r\n\r\n").starts_with("not an HTTP status line"));
+        assert!(error(b"HTTP/1.1 2xx OK\r\nContent-Length: 0\r\n\r\n")
+            .starts_with("bad status code"));
+        assert!(error(b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n").starts_with("bad header line"));
+        assert!(error(b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n")
+            .starts_with("bad Content-Length"));
+        assert_eq!(
+            error(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"),
+            "missing Content-Length"
+        );
+        // A head may grow to the cap while its terminator is still to come;
+        // one byte past the cap without it is an error.
+        let mut head = b"HTTP/1.1 200 OK\r\nX-Filler: ".to_vec();
+        head.resize(MAX_HEAD, b'a');
+        assert!(matches!(parse_reply(&head), Ok(None)));
+        head.push(b'a');
+        assert_eq!(error(&head), "response head too large");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! | `GET /top?region=R&k=N` | one region's top-K (routed to that shard; unknown region → typed 404, degraded shard → typed 503) |
 //! | `GET /pipe?region=R&id=N` | one pipe's score and rank (`region` required when serving more than one shard) |
 //! | `GET /model` | snapshot identity + posterior-summary inventory (sharded: the full shard inventory) |
-//! | `POST /batch` | one query per line (`[region=R ]top K` / `region=R pipe ID`), fanned over the task pool |
+//! | `POST /batch` | one query per line (`[region=R ]top K` / `region=R pipe ID`), answered in order on the serving thread |
 //! | `POST /aggregate` | declarative group-by/aggregate pipeline (body = JSON spec, see `docs/AGGREGATE.md`) computed per-shard on the task pool and merged deterministically; `?partial=1` answers the merge-ready partial state (the federation scatter leg) |
 //! | `GET /riskmap.svg` | Fig 18.9 risk map (single-snapshot mode with a dataset only) |
 //! | `GET /metrics` | Prometheus text exposition (sharded: per-shard `shard="R"` series) |
@@ -240,8 +240,8 @@ fn positive_f64_env(key: &str) -> Option<f64> {
 }
 
 /// Everything a serving thread needs to answer queries: the
-/// (hot-swappable) per-region shards, a task pool for `/batch` fan-out,
-/// and an optional dataset for the risk-map route.
+/// (hot-swappable) per-region shards, a task pool for `/aggregate`'s
+/// per-shard partials, and an optional dataset for the risk-map route.
 #[derive(Debug)]
 pub struct ServeContext {
     /// The served shards (a single-snapshot server is a one-shard set).
@@ -256,12 +256,12 @@ pub struct ServeContext {
 
 impl ServeContext {
     /// Context serving one `scorer` (legacy single-snapshot mode),
-    /// batching over `PIPEFAIL_THREADS`.
+    /// aggregating over `PIPEFAIL_THREADS`.
     pub fn new(scorer: Scorer) -> Self {
         Self::sharded(ShardSet::single(scorer))
     }
 
-    /// Context serving a whole shard set behind one endpoint, batching
+    /// Context serving a whole shard set behind one endpoint, aggregating
     /// over `PIPEFAIL_THREADS`.
     pub fn sharded(shards: ShardSet) -> Self {
         Self {
@@ -279,7 +279,8 @@ impl ServeContext {
         self
     }
 
-    /// This context with an explicit batch task pool.
+    /// This context with an explicit task pool for `/aggregate`'s
+    /// per-shard partials.
     pub fn with_pool(mut self, pool: TaskPool) -> Self {
         self.pool = pool;
         self
@@ -1050,10 +1051,9 @@ fn batch_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) ->
         }
     }
 
-    // Fan out over the pool; every answer is a pure function of its line
-    // and the frozen views, so results are in line order at any thread
-    // count.
-    let rendered = ctx.pool.run(ops.len(), |i| match &ops[i] {
+    // Answer the lines in order on this thread: each is a lookup or a
+    // bounded merge, cheaper than handing it to another thread.
+    let answer = |op: &BatchOp| match op {
         BatchOp::Shard(idx, query) => {
             let scorer = views[*idx].as_ref().expect("resolved above");
             render_query_result(&scorer.answer(*query))
@@ -1076,7 +1076,8 @@ fn batch_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) ->
             out.push_str("]}");
             out
         }
-    });
+    };
+    let rendered: Vec<String> = ops.iter().map(answer).collect();
     Response::json(200, format!("{{\"results\":[{}]}}", rendered.join(",")))
 }
 

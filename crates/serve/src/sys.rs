@@ -7,9 +7,9 @@
 // Everything here is `pub(crate)`: the public surface stays the typed
 // serve API; callers never see raw fds.
 
-use std::io::{self, Read, Write};
-use std::net::TcpListener;
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::{TcpListener, TcpStream};
+use std::time::Instant;
 
 #[cfg(unix)]
 use std::os::unix::io::RawFd;
@@ -438,125 +438,54 @@ impl std::fmt::Debug for Mapping {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline-bounded I/O on non-blocking sockets
+// Waiting on several sockets at once (poll)
 // ---------------------------------------------------------------------------
 
-/// Wait until `fd` is readable (`want_read`) or writable, or until
-/// `deadline` — whichever comes first. `EINTR` re-enters the wait with the
-/// remaining budget. Expiry returns `ErrorKind::TimedOut`.
+/// Wait until one of `socks` is ready — readable, or also writable where
+/// its flag asks — or until `deadline`, and return how many are (`0` at
+/// the deadline). Hangups and errors count as ready: the next read or write
+/// reports them. Always polls at least once, with a zero timeout if the
+/// deadline has passed, so a caller held up elsewhere still sees what
+/// arrived meanwhile. `EINTR` polls again with the time left.
 #[cfg(unix)]
-fn wait_fd(fd: RawFd, want_read: bool, deadline: Instant) -> io::Result<()> {
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline expired"));
-        }
-        let remaining = deadline - now;
-        // Round up so a sub-millisecond budget still polls once instead of
-        // spinning with timeout 0.
-        let ms = remaining.as_millis().min(i32::MAX as u128) as i32;
-        let ms = if remaining > Duration::from_millis(ms as u64) {
-            ms.saturating_add(1)
-        } else {
-            ms.max(1)
-        };
-        let mut pfd = ffi::PollFd {
-            fd,
-            events: if want_read { ffi::POLLIN } else { ffi::POLLOUT },
+pub(crate) fn poll_until(socks: &[(&TcpStream, bool)], deadline: Instant) -> io::Result<usize> {
+    use std::os::unix::io::AsRawFd;
+    let mut fds: Vec<ffi::PollFd> = socks
+        .iter()
+        .map(|(sock, write)| ffi::PollFd {
+            fd: sock.as_raw_fd(),
+            events: if *write { ffi::POLLIN | ffi::POLLOUT } else { ffi::POLLIN },
             revents: 0,
-        };
-        // SAFETY: one valid PollFd for the duration of the call.
-        let rc = unsafe { ffi::poll(&mut pfd, 1, ms) };
-        if rc < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                continue;
-            }
+        })
+        .collect();
+    loop {
+        // Round up, so a sub-millisecond wait sleeps instead of spinning.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let ms = left.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+        // SAFETY: `fds` is a valid array of `fds.len()` entries, exclusively
+        // borrowed for the duration of the call.
+        let rc = unsafe { ffi::poll(fds.as_mut_ptr(), fds.len() as ffi::NfdsT, ms) };
+        if rc >= 0 {
+            return Ok(rc as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
             return Err(err);
         }
-        if rc > 0 {
-            // Readable, writable, error, or hangup: in every case the
-            // following read/write will resolve it without blocking.
-            return Ok(());
-        }
-        // rc == 0: poll timed out; loop re-checks the deadline and exits
-        // via the TimedOut branch above.
     }
 }
 
-/// Read some bytes from a **non-blocking** socket, waiting (via `poll`)
-/// until readable but never past `deadline`. Returns `TimedOut` on
-/// expiry, so a stalled peer can never hold the connection longer than
-/// the caller's request deadline.
-#[cfg(unix)]
-pub(crate) fn read_deadline<S>(stream: &mut S, buf: &mut [u8], deadline: Instant) -> io::Result<usize>
-where
-    S: Read + std::os::unix::io::AsRawFd,
-{
-    loop {
-        match stream.read(buf) {
-            Ok(n) => return Ok(n),
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                wait_fd(stream.as_raw_fd(), true, deadline)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Write all of `bytes` to a **non-blocking** socket, waiting (via `poll`)
-/// for writability but never past `deadline`.
-#[cfg(unix)]
-pub(crate) fn write_all_deadline<S>(stream: &mut S, bytes: &[u8], deadline: Instant) -> io::Result<()>
-where
-    S: Write + std::os::unix::io::AsRawFd,
-{
-    let mut written = 0;
-    while written < bytes.len() {
-        match stream.write(&bytes[written..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "socket closed mid-write",
-                ));
-            }
-            Ok(n) => written += n,
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                wait_fd(stream.as_raw_fd(), false, deadline)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-// Non-unix fallback: no `poll`, so the deadline is not enforced. Serving
-// (and so federation) is Linux-only; this only keeps the crate building
-// elsewhere.
+/// Without `poll` nothing can wait on several sockets. Serving (and so
+/// federation) is Linux-only; this only keeps the crate building elsewhere.
 #[cfg(not(unix))]
-pub(crate) fn read_deadline<S: Read>(
-    stream: &mut S,
-    buf: &mut [u8],
-    _deadline: Instant,
-) -> io::Result<usize> {
-    stream.read(buf)
-}
-
-#[cfg(not(unix))]
-pub(crate) fn write_all_deadline<S: Write>(
-    stream: &mut S,
-    bytes: &[u8],
-    _deadline: Instant,
-) -> io::Result<()> {
-    stream.write_all(bytes)
+pub(crate) fn poll_until(_socks: &[(&TcpStream, bool)], _deadline: Instant) -> io::Result<usize> {
+    Err(io::Error::new(io::ErrorKind::Unsupported, "poll needs unix"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpStream, TcpListener};
+    use std::io::{Read, Write};
 
     #[test]
     fn bind_reuseaddr_yields_working_listener() {
@@ -587,44 +516,6 @@ mod tests {
         drop(listener);
         let again = bind_reuseaddr(&addr.to_string()).expect("rebind");
         assert_eq!(again.local_addr().expect("addr").port(), addr.port());
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn deadline_read_times_out_on_stalled_peer() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let client = TcpStream::connect(addr).expect("connect");
-        client.set_nonblocking(true).expect("nonblocking");
-        let (_held, _) = listener.accept().expect("accept");
-        let mut client = client;
-        let mut buf = [0u8; 16];
-        let started = Instant::now();
-        let deadline = started + Duration::from_millis(80);
-        let err = read_deadline(&mut client, &mut buf, deadline).expect_err("must time out");
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        let waited = started.elapsed();
-        assert!(waited >= Duration::from_millis(70), "returned early: {waited:?}");
-        assert!(waited < Duration::from_secs(2), "overslept: {waited:?}");
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn deadline_read_returns_data_when_available() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let client = TcpStream::connect(addr).expect("connect");
-        client.set_nonblocking(true).expect("nonblocking");
-        let (mut server, _) = listener.accept().expect("accept");
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            server.write_all(b"late").expect("write");
-        });
-        let mut client = client;
-        let mut buf = [0u8; 16];
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let n = read_deadline(&mut client, &mut buf, deadline).expect("read");
-        assert_eq!(&buf[..n], b"late");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * clearing the fault heals the backend via the health probe, with no
 //!   restarts anywhere;
 //! * a `Down` backend short-circuits (fast typed 503, no timeout burn);
-//! * a hedged duplicate beats a stalled primary without inflating errors;
+//! * a hedged duplicate beats a stalled primary without inflating errors,
+//!   and the losing exchange's socket closes as soon as the winner answers;
 //! * backend `/healthz` probe traffic stays out of the request metrics;
 //! * federated `POST /aggregate` answers byte-identically to an
 //!   in-process sharded server, degrades per-region behind
@@ -33,7 +34,8 @@ use pipefail_serve::{
     ServerConfig, ServerHandle, ShardSet,
 };
 use proptest::prelude::*;
-use std::net::SocketAddr;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -533,6 +535,87 @@ fn hedged_duplicate_beats_a_stalled_primary() {
 
     fed_handle.shutdown();
     a.shutdown();
+}
+
+#[test]
+fn losing_exchange_is_closed_when_the_winner_answers() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    listener.set_nonblocking(true).expect("non-blocking listener");
+    let config = FedConfig {
+        request_timeout_secs: 2.0,
+        retries: 0,
+        hedge_ms: Some(25),
+        probe_secs: 5.0,
+        fail_threshold: 10,
+        ..FedConfig::default()
+    };
+    let backend_addr = listener.local_addr().expect("addr");
+    let (fed_handle, _fed) = federate(vec![("Region A", backend_addr)], config);
+    let fed_addr = fed_handle.addr();
+
+    std::thread::scope(|s| {
+        let client = s.spawn(move || {
+            let resp = get_once(fed_addr, "/top?region=region_a&k=5");
+            (resp, Instant::now())
+        });
+
+        // The backend, a raw listener served from this thread: it answers
+        // every request, probes included, except the first `/top`, which
+        // it holds unanswered. The hedge fires at 25ms on a second
+        // connection; answering it ends the loop.
+        let give_up = Instant::now() + Duration::from_secs(5);
+        let mut stalled = None;
+        loop {
+            let mut conn = match listener.accept() {
+                Ok((conn, _)) => conn,
+                Err(e) if e.kind() == ErrorKind::WouldBlock && Instant::now() < give_up => {
+                    std::thread::sleep(Duration::from_millis(1));
+                    continue;
+                }
+                Err(e) => panic!("no hedge reached the backend: {e}"),
+            };
+            conn.set_nonblocking(false).expect("blocking connection");
+            conn.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") && conn.read(&mut byte).expect("request") == 1 {
+                head.push(byte[0]);
+            }
+            let head = String::from_utf8_lossy(&head).to_ascii_lowercase();
+            let top = head.starts_with("get /top");
+            if top && stalled.is_none() {
+                stalled = Some(conn);
+                continue;
+            }
+            let keep = if head.contains("connection: close") { "close" } else { "keep-alive" };
+            let body = "{\"results\":[]}";
+            let response = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {keep}\r\n\r\n{body}",
+                body.len()
+            );
+            conn.write_all(response.as_bytes()).expect("response");
+            if top {
+                break;
+            }
+        }
+
+        // The stalled primary's socket closes with the answer, not at its
+        // own 2s deadline: a finished request leaves no backend I/O behind.
+        let mut stalled = stalled.expect("the primary stalled");
+        let mut byte = [0u8; 1];
+        assert_eq!(stalled.read(&mut byte).expect("EOF before the read timeout"), 0);
+        let closed = Instant::now();
+        let (resp, answered) = client.join().expect("client thread");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(fed_handle.metrics().fed_hedge_wins_total(), 1);
+        let held = closed.saturating_duration_since(answered);
+        assert!(
+            held < Duration::from_millis(500),
+            "the losing exchange held its socket {held:?} past the answer"
+        );
+    });
+
+    fed_handle.shutdown();
 }
 
 // ---------------------------------------------------------------------------
