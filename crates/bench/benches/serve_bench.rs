@@ -26,16 +26,6 @@
 //! should strip most of the stragglers' contribution from the total,
 //! the unhedged run eats every delay.
 //!
-//! The `serve/aggregate/*` entries price the declarative `POST /aggregate`
-//! pipeline (group by material × decade; count, summed length, average
-//! risk) across the three topologies on the same 100k attribute-tagged
-//! pipes: `monolithic` runs the whole pipeline in one pass, `sharded`
-//! executes per-shard partials on the task pool and merges in-process,
-//! `federated` scatters the spec to 8 backend processes over TCP and
-//! merges their wire partials at the front-end. All three answer
-//! byte-identical bodies (pinned by the e2e battery); the deltas are pure
-//! fan-out and wire cost.
-//!
 //! The `scorer/risk_of_100k` entry times in-process `/pipe` point lookups
 //! against the 100k-pipe table — a binary search over the snapshot's
 //! sorted id→rank index columns.
@@ -193,7 +183,7 @@ fn post_round(addr: SocketAddr, path: &str, body: &str) -> usize {
 }
 
 /// One-shot probe asserting a server answers `POST /aggregate` with 200 —
-/// a silent 4xx/5xx would turn the aggregate entries into error-path
+/// a silent 4xx/5xx would turn the cache entries into error-path
 /// measurements.
 fn assert_aggregate_ok(addr: SocketAddr, body: &str) {
     let request = format!(
@@ -473,83 +463,11 @@ fn bench_federated(c: &mut Criterion) {
     }
 }
 
-/// The declarative aggregation pipeline across the three topologies on
-/// the same 100k attribute-tagged pipes (see the module docs): identical
-/// bodies, different execution plans.
-fn bench_aggregate(c: &mut Criterion) {
-    const SPEC: &str = "{\"group_by\":[\"material\",\"decade\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"sum\",\"field\":\"length_m\"},{\"op\":\"avg\",\"field\":\"risk\"}]}";
-    let config = ServerConfig {
-        keepalive_requests: 0,
-        workers: 4,
-        cache: false,
-        ..ServerConfig::default()
-    };
-    let per_shard = TOTAL_PIPES / SHARDS;
-
-    let mono = serve(Arc::new(ServeContext::new(scorer(TOTAL_PIPES))), &config)
-        .expect("monolithic server starts");
-    let shard_set =
-        ShardSet::from_scorers((0..SHARDS).map(|s| shard_scorer(s, per_shard)).collect())
-            .expect("distinct regions");
-    let sharded = serve(Arc::new(ServeContext::sharded(shard_set)), &config)
-        .expect("sharded server starts");
-    let backends: Vec<_> = (0..SHARDS)
-        .map(|s| {
-            serve(
-                Arc::new(ServeContext::new(shard_scorer(s, per_shard))),
-                &config,
-            )
-            .expect("backend starts")
-        })
-        .collect();
-    let targets: Vec<(String, String)> = backends
-        .iter()
-        .enumerate()
-        .map(|(s, h)| (format!("Shard {s}"), h.addr().to_string()))
-        .collect();
-    let fed = Arc::new(
-        Federation::new(
-            targets,
-            FedConfig {
-                retries: 0,
-                hedge_ms: Some(0),
-                ..FedConfig::default()
-            },
-        )
-        .expect("federation"),
-    );
-    let front = serve_federated(fed, &config).expect("front-end starts");
-
-    for handle in [&mono, &sharded, &front] {
-        assert_aggregate_ok(handle.addr(), SPEC);
-    }
-
-    let mut g = c.benchmark_group("serve");
-    g.sample_size(10);
-    g.bench_function(format!("aggregate/monolithic/{QUERIES}_queries"), |b| {
-        b.iter(|| black_box(post_round(mono.addr(), "/aggregate", SPEC)))
-    });
-    g.bench_function(format!("aggregate/sharded/{QUERIES}_queries"), |b| {
-        b.iter(|| black_box(post_round(sharded.addr(), "/aggregate", SPEC)))
-    });
-    g.bench_function(format!("aggregate/federated/{QUERIES}_queries"), |b| {
-        b.iter(|| black_box(post_round(front.addr(), "/aggregate", SPEC)))
-    });
-    g.finish();
-
-    front.shutdown();
-    mono.shutdown();
-    sharded.shutdown();
-    for h in backends {
-        h.shutdown();
-    }
-}
-
-/// The epoch-keyed result cache on the same 100k-pipe operating point the
-/// `serve/aggregate/*` entries measure: a cached hit (pooled-buffer
-/// replay of the rendered body) vs the uncached full-table scan, plus the
-/// single-flight coalesced path (8 identical concurrent misses, one
-/// compute). Prints one greppable
+/// The epoch-keyed result cache on a 100k-pipe `/aggregate` (group by
+/// material × decade; count, summed length, average risk): a cached hit
+/// (pooled-buffer replay of the rendered body) vs the uncached full-table
+/// scan, plus the single-flight coalesced path (8 identical concurrent
+/// misses, one compute). Prints one greppable
 /// `CACHEBENCH pipes=… hit_ns=… miss_ns=…` stdout line; the CI gate
 /// asserts `hit_ns * 5 <= miss_ns`.
 fn bench_cache(c: &mut Criterion) {
@@ -672,7 +590,6 @@ criterion_group!(
     bench_serving,
     bench_sharded,
     bench_federated,
-    bench_aggregate,
     bench_cache,
     bench_scorer_lookup
 );

@@ -44,10 +44,10 @@
 //! them against a snapshot that lacks them are refused with a typed
 //! error rather than answered with zeros.
 
-use crate::scorer::Scorer;
+use crate::scorer::{AttributesView, Scorer};
 use crate::shards::region_key;
 use pipefail_network::attributes::Material;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Maximum JSON nesting depth the spec parser accepts — a pipeline spec
@@ -864,14 +864,100 @@ pub(crate) struct BudgetSummary {
     total_length_m: f64,
 }
 
+/// The `decade` key of a construction year: the first year of its decade
+/// with an `s` (`1953` → `"1950s"`, `-1` → `"-10s"`). The product is taken
+/// in `i64` because the decades of `i32::MIN..=i32::MIN + 7` start below
+/// `i32::MIN` (`"-2147483650s"`).
 fn decade_of(year: i32) -> String {
-    format!("{}s", year.div_euclid(10) * 10)
+    format!("{}s", i64::from(year.div_euclid(10)) * 10)
+}
+
+/// A group's key values, in `spec.group_by` order.
+fn group_key(spec: &AggregateSpec, region: &str, material: usize, laid_year: i32) -> Vec<String> {
+    spec.group_by
+        .iter()
+        .map(|k| match k {
+            GroupKey::Region => region.to_string(),
+            GroupKey::Material => Material::ALL[material].code().to_string(),
+            GroupKey::Decade => decade_of(laid_year),
+        })
+        .collect()
+}
+
+/// Low bits of a group code that hold the material index; `Material::ALL`
+/// has 9 entries. The decade (`laid_year.div_euclid(10)` as its 32 two's
+/// complement bits) sits above them.
+const MATERIAL_BITS: u32 = 4;
+
+/// The multiply-shift hash's odd multiplier (2^64 over the golden ratio).
+const CODE_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One group of a coded scan: its code, the rank of its first pipe (whose
+/// attributes render the group's key) and its running state.
+struct CodedGroup {
+    code: u64,
+    first: usize,
+    state: GroupState,
+}
+
+/// The groups of one shard scan, found by packed group code through an
+/// open-addressing table: linear probing from a multiply-shift hash, with
+/// a power-of-two capacity kept at least twice the number of groups, so
+/// every probe run ends at a free slot. Codes come from the served
+/// snapshot, never from a request.
+struct CodeTable {
+    /// Index into `groups` plus one; 0 marks a free slot.
+    slots: Vec<usize>,
+    /// Groups in the order their first pipe was seen.
+    groups: Vec<CodedGroup>,
+}
+
+impl CodeTable {
+    fn new() -> Self {
+        Self { slots: vec![0; 16], groups: Vec::new() }
+    }
+
+    /// The slot of `code`'s group, or the free slot where it belongs.
+    fn slot(&self, code: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut at = (code.wrapping_mul(CODE_HASH) >> shift) as usize;
+        while self.slots[at] != 0 && self.groups[self.slots[at] - 1].code != code {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Add the pipe at `rank` to the group of `code`, opening the group
+    /// on its first pipe.
+    fn add(&mut self, code: u64, rank: usize, risk: f64, len: f64) {
+        let at = self.slot(code);
+        if self.slots[at] != 0 {
+            self.groups[self.slots[at] - 1].state.add(risk, len);
+            return;
+        }
+        self.groups.push(CodedGroup { code, first: rank, state: GroupState::one(risk, len) });
+        self.slots[at] = self.groups.len();
+        if 2 * self.groups.len() > self.slots.len() {
+            self.slots = vec![0; 2 * self.slots.len()];
+            for g in 0..self.groups.len() {
+                let at = self.slot(self.groups[g].code);
+                self.slots[at] = g + 1;
+            }
+        }
+    }
 }
 
 /// Compute one scorer's partial for `spec`. The shard's group-key
 /// `region` value is its region routing key, so a single-snapshot server
 /// is indistinguishable from a one-shard set or a one-backend
 /// federation.
+///
+/// Without a budget, each pipe's group is found by an integer code
+/// (material index and decade; the region is the same for every pipe of
+/// the shard), pipes are added to their group in rank order, and each
+/// group's string key is rendered once, from its first pipe, before the
+/// groups are sorted by key.
 pub(crate) fn shard_partial(
     spec: &AggregateSpec,
     scorer: &Scorer,
@@ -910,33 +996,33 @@ pub(crate) fn shard_partial(
         return Ok(AggregatePartial { groups: Vec::new(), candidates: Some(candidates) });
     }
 
-    let mut groups: Vec<(Vec<String>, GroupState)> = Vec::new();
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
+    let by_material = spec.group_by.contains(&GroupKey::Material);
+    let by_decade = spec.group_by.contains(&GroupKey::Decade);
+    let code_of = |a: AttributesView<'_>, i: usize| -> u64 {
+        let material = if by_material { a.material_index(i) as u64 } else { 0 };
+        let decade = if by_decade {
+            u64::from(a.laid_year(i).div_euclid(10).cast_unsigned())
+        } else {
+            0
+        };
+        decade << MATERIAL_BITS | material
+    };
+    let mut table = CodeTable::new();
     for (i, entry) in entries.iter().enumerate() {
-        let key: Vec<String> = spec
-            .group_by
-            .iter()
-            .map(|k| match k {
-                GroupKey::Region => region.clone(),
-                GroupKey::Material => attrs
-                    .expect("needs_attributes covers material")
-                    .material(i)
-                    .code()
-                    .to_string(),
-                GroupKey::Decade => {
-                    decade_of(attrs.expect("needs_attributes covers decade").laid_year(i))
-                }
-            })
-            .collect();
-        let length_m = attrs.map_or(0.0, |a| a.length_m(i));
-        match index.get(&key) {
-            Some(&at) => groups[at].1.add(entry.score, length_m),
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push((key, GroupState::one(entry.score, length_m)));
-            }
-        }
+        let (code, length_m) = attrs.map_or((0, 0.0), |a| (code_of(a, i), a.length_m(i)));
+        table.add(code, i, entry.score, length_m);
     }
+    let mut groups: Vec<(Vec<String>, GroupState)> = table
+        .groups
+        .into_iter()
+        .map(|g| {
+            // Without attributes the spec groups by region only, so the
+            // zeros are never rendered.
+            let (material, year) =
+                attrs.map_or((0, 0), |a| (a.material_index(g.first), a.laid_year(g.first)));
+            (group_key(spec, &region, material, year), g.state)
+        })
+        .collect();
     groups.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(AggregatePartial { groups, candidates: None })
 }
@@ -957,21 +1043,16 @@ pub(crate) fn merge_partials(
 /// group table; callers fix the partial order (sorted region-key) so the
 /// f64 addition order is pinned.
 fn fold_groups(partials: &[AggregatePartial]) -> Vec<(Vec<String>, GroupState)> {
-    let mut groups: Vec<(Vec<String>, GroupState)> = Vec::new();
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
+    let mut groups: BTreeMap<Vec<String>, GroupState> = BTreeMap::new();
     for partial in partials {
         for (key, state) in &partial.groups {
-            match index.get(key) {
-                Some(&at) => groups[at].1.merge(state),
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key.clone(), state.clone()));
-                }
-            }
+            groups
+                .entry(key.clone())
+                .and_modify(|g| g.merge(state))
+                .or_insert_with(|| state.clone());
         }
     }
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
-    groups
+    groups.into_iter().collect()
 }
 
 /// Collapse several shard partials into **one** partial — the
@@ -1026,8 +1107,7 @@ fn merge_budget(
         .map(|p| p.candidates.as_deref().unwrap_or(&[]))
         .collect();
     let mut cursor = vec![0usize; streams.len()];
-    let mut groups: Vec<(Vec<String>, GroupState)> = Vec::new();
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
+    let mut groups: BTreeMap<Vec<String>, GroupState> = BTreeMap::new();
     let mut selected = 0u64;
     let mut total_length = 0.0f64;
     loop {
@@ -1048,28 +1128,13 @@ fn merge_budget(
         cursor[s] += 1;
         selected += 1;
         total_length += c.length_m;
-        let key: Vec<String> = spec
-            .group_by
-            .iter()
-            .map(|k| match k {
-                GroupKey::Region => c.region.clone(),
-                GroupKey::Material => {
-                    Material::ALL[usize::from(c.material)].code().to_string()
-                }
-                GroupKey::Decade => decade_of(c.laid_year),
-            })
-            .collect();
-        match index.get(&key) {
-            Some(&at) => groups[at].1.add(c.score, c.length_m),
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push((key, GroupState::one(c.score, c.length_m)));
-            }
-        }
+        groups
+            .entry(group_key(spec, &c.region, usize::from(c.material), c.laid_year))
+            .and_modify(|g| g.add(c.score, c.length_m))
+            .or_insert_with(|| GroupState::one(c.score, c.length_m));
     }
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
     (
-        groups,
+        groups.into_iter().collect(),
         Some(BudgetSummary { budget_length_m: budget, selected, total_length_m: total_length }),
     )
 }
@@ -1358,6 +1423,65 @@ mod tests {
 
     fn spec_json(json: &str) -> AggregateSpec {
         AggregateSpec::parse(json).expect("valid spec")
+    }
+
+    /// The string-keyed scan the coded one replaced, kept as its oracle:
+    /// one `Vec<String>` key per pipe, looked up in a map, pipes added in
+    /// rank order.
+    fn reference_partial(spec: &AggregateSpec, scorer: &Scorer) -> AggregatePartial {
+        let attrs = scorer.attributes();
+        let region = region_key(scorer.region());
+        let mut groups: BTreeMap<Vec<String>, GroupState> = BTreeMap::new();
+        for (i, entry) in scorer.top_k(usize::MAX).iter().enumerate() {
+            let key: Vec<String> = spec
+                .group_by
+                .iter()
+                .map(|k| match k {
+                    GroupKey::Region => region.clone(),
+                    GroupKey::Material => attrs.expect("attributes").material(i).code().to_string(),
+                    GroupKey::Decade => decade_of(attrs.expect("attributes").laid_year(i)),
+                })
+                .collect();
+            let length_m = attrs.map_or(0.0, |a| a.length_m(i));
+            match groups.get_mut(&key) {
+                Some(state) => state.add(entry.score, length_m),
+                None => {
+                    groups.insert(key, GroupState::one(entry.score, length_m));
+                }
+            }
+        }
+        AggregatePartial { groups: groups.into_iter().collect(), candidates: None }
+    }
+
+    /// The fold's oracle: partials merged in the order given through a
+    /// linear search, then sorted by key.
+    fn reference_fold(partials: &[AggregatePartial]) -> Vec<(Vec<String>, GroupState)> {
+        let mut groups: Vec<(Vec<String>, GroupState)> = Vec::new();
+        for partial in partials {
+            for (key, state) in &partial.groups {
+                match groups.iter_mut().find(|(k, _)| k == key) {
+                    Some((_, folded)) => folded.merge(state),
+                    None => groups.push((key.clone(), state.clone())),
+                }
+            }
+        }
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        groups
+    }
+
+    /// Two pipes laid in the lowest and the highest `i32` years.
+    fn scorer_at_year_extremes() -> Scorer {
+        let ranking = RiskRanking::new(vec![
+            RiskScore { pipe: PipeId(0), score: 0.9 },
+            RiskScore { pipe: PipeId(1), score: 0.5 },
+        ]);
+        let mut snap = Snapshot::new("DPMHBP", "Region A", 7, &ranking);
+        snap.push_section(attributes_section(
+            vec![10.0, 20.0],
+            vec![0.0, 1.0],
+            vec![f64::from(i32::MIN), f64::from(i32::MAX)],
+        ));
+        Scorer::new(snap).expect("valid snapshot")
     }
 
     #[test]
@@ -1651,6 +1775,40 @@ mod tests {
     }
 
     #[test]
+    fn decades_of_the_extreme_years_render_without_overflow() {
+        let s = scorer_at_year_extremes();
+        let groups = spec_json(r#"{"group_by":["decade"],"aggregates":[{"op":"count"}]}"#);
+        let (merged, budget) =
+            merge_partials(&groups, &[shard_partial(&groups, &s).expect("partial")]);
+        assert_eq!(
+            render_aggregate(&groups, merged, budget),
+            "{\"groups\":[{\"key\":{\"decade\":\"-2147483650s\"},\"count\":1},\
+             {\"key\":{\"decade\":\"2147483640s\"},\"count\":1}]}"
+        );
+
+        let budget = spec_json(
+            r#"{"group_by":["decade"],"aggregates":[{"op":"count"}],"budget":{"length_m":15}}"#,
+        );
+        let (merged, summary) =
+            merge_partials(&budget, &[shard_partial(&budget, &s).expect("partial")]);
+        assert_eq!(
+            render_aggregate(&budget, merged, summary),
+            "{\"groups\":[{\"key\":{\"decade\":\"-2147483650s\"},\"count\":1}],\
+             \"budget\":{\"length_m\":15,\"selected\":1,\"total_length_m\":10}}"
+        );
+
+        // The same year arriving as a federation backend's candidate.
+        let wire = format!("{{\"candidates\":[[0.5,10,0,{},\"region_a\"]]}}", i32::MIN);
+        let partial = parse_partial(&budget, &wire).expect("valid candidate");
+        let (merged, summary) = merge_partials(&budget, &[partial]);
+        assert_eq!(
+            render_aggregate(&budget, merged, summary),
+            "{\"groups\":[{\"key\":{\"decade\":\"-2147483650s\"},\"count\":1}],\
+             \"budget\":{\"length_m\":15,\"selected\":1,\"total_length_m\":10}}"
+        );
+    }
+
+    #[test]
     fn json_parser_handles_escapes_and_rejects_garbage() {
         assert_eq!(
             parse_json(r#""a\"b\\c\u0041\ud83d\ude00""#),
@@ -1771,5 +1929,118 @@ mod tests {
             let (groups2, b2) = merge_partials(&spec, &rewired);
             prop_assert_eq!(merged_body, render_aggregate(&spec, groups2, b2));
         }
+
+        /// The coded scan answers exactly what the string-keyed oracle
+        /// answers — each shard's wire partial, the collapsed
+        /// `?partial=1` wire and the rendered body — for any grouping and
+        /// column set, tie-heavy scores, every material, and years in the
+        /// usual range, below zero and at both ends of `i32`; and so do
+        /// attribute-less shards under a region-only spec.
+        #[test]
+        fn coded_scan_matches_string_keyed_oracle(
+            // Per pipe: score pick, material, length, year band, year offset.
+            shards in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0usize..5, 0usize..9, 0.0f64..500.0, 0usize..4, 0i32..1_000_000),
+                    0..41,
+                ),
+                1..5,
+            ),
+            order in 0usize..6,
+            keys in 1usize..4,
+            columns in proptest::collection::vec(0usize..9, 1..4),
+            top in proptest::option::of(1usize..6),
+        ) {
+            const SCORES: [f64; 5] = [0.9, 0.7, 0.5, 0.5, 0.1];
+            const COLUMNS: [(AggOp, Option<AggField>); 9] = [
+                (AggOp::Count, None),
+                (AggOp::Sum, Some(AggField::Risk)),
+                (AggOp::Sum, Some(AggField::LengthM)),
+                (AggOp::Avg, Some(AggField::Risk)),
+                (AggOp::Avg, Some(AggField::LengthM)),
+                (AggOp::Min, Some(AggField::Risk)),
+                (AggOp::Min, Some(AggField::LengthM)),
+                (AggOp::Max, Some(AggField::Risk)),
+                (AggOp::Max, Some(AggField::LengthM)),
+            ];
+            let year = |band: usize, offset: i32| match band {
+                0 => 1900 + offset % 111,
+                1 => -1 - offset % 5000,
+                2 => i32::MIN + offset % 24,
+                _ => i32::MAX - offset % 24,
+            };
+            let make = |s: usize, pipes: &[(usize, usize, f64, usize, i32)], attrs: bool| {
+                let mut pipes = pipes.to_vec();
+                pipes.sort_by(|a, b| SCORES[b.0].total_cmp(&SCORES[a.0]));
+                let ranking = RiskRanking::new(
+                    pipes
+                        .iter()
+                        .enumerate()
+                        .map(|(i, p)| RiskScore { pipe: PipeId(i as u32), score: SCORES[p.0] })
+                        .collect(),
+                );
+                let mut snap = Snapshot::new("DPMHBP", format!("Region {s}"), 7, &ranking);
+                if attrs {
+                    snap.push_section(attributes_section(
+                        pipes.iter().map(|p| p.2).collect(),
+                        pipes.iter().map(|p| p.1 as f64).collect(),
+                        pipes.iter().map(|p| f64::from(year(p.3, p.4))).collect(),
+                    ));
+                }
+                Scorer::new(snap).expect("valid snapshot")
+            };
+
+            // Six orders of the three keys: a rotation, then maybe a swap.
+            let mut group_by = vec![GroupKey::Region, GroupKey::Material, GroupKey::Decade];
+            group_by.rotate_left(order % 3);
+            if order >= 3 {
+                group_by.swap(0, 1);
+            }
+            group_by.truncate(keys);
+            let mut spec =
+                AggregateSpec { group_by, aggregates: Vec::new(), top_groups: top, budget_length_m: None };
+            for &c in &columns {
+                let (op, field) = COLUMNS[c];
+                if !spec.aggregates.contains(&Aggregate { op, field }) {
+                    spec = spec.aggregate(op, field);
+                }
+            }
+            let tagged: Vec<Scorer> =
+                shards.iter().enumerate().map(|(s, p)| make(s, p, true)).collect();
+            oracle_agrees(&spec, &tagged)?;
+
+            let mut region_only = spec.clone();
+            region_only.group_by = vec![GroupKey::Region];
+            region_only.aggregates.retain(|a| a.field != Some(AggField::LengthM));
+            if region_only.aggregates.is_empty() {
+                region_only = region_only.aggregate(AggOp::Count, None);
+            }
+            let bare: Vec<Scorer> =
+                shards.iter().enumerate().map(|(s, p)| make(s, p, false)).collect();
+            oracle_agrees(&region_only, &bare)?;
+        }
+    }
+
+    /// Compare the coded scan and its merges with the oracles over
+    /// `shards` (given in sorted region-key order).
+    fn oracle_agrees(spec: &AggregateSpec, shards: &[Scorer]) -> Result<(), String> {
+        let coded: Vec<AggregatePartial> =
+            shards.iter().map(|s| shard_partial(spec, s).expect("partial")).collect();
+        let oracle: Vec<AggregatePartial> =
+            shards.iter().map(|s| reference_partial(spec, s)).collect();
+        for (c, o) in coded.iter().zip(&oracle) {
+            prop_assert_eq!(render_partial(c), render_partial(o));
+        }
+        let folded = reference_fold(&oracle);
+        prop_assert_eq!(
+            render_partial(&merge_to_partial(spec, &coded)),
+            render_partial(&AggregatePartial { groups: folded.clone(), candidates: None })
+        );
+        let (groups, budget) = merge_partials(spec, &coded);
+        prop_assert_eq!(
+            render_aggregate(spec, groups, budget),
+            render_aggregate(spec, folded, None)
+        );
+        Ok(())
     }
 }
