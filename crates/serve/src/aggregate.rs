@@ -44,11 +44,13 @@
 //! them against a snapshot that lacks them are refused with a typed
 //! error rather than answered with zeros.
 
+use crate::http::json_str;
 use crate::scorer::{AttributesView, Scorer};
 use crate::shards::region_key;
 use pipefail_network::attributes::Material;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum JSON nesting depth the spec parser accepts — a pipeline spec
 /// is three levels deep; anything deeper is hostile input, and a hard
@@ -832,14 +834,16 @@ impl GroupState {
 }
 
 /// One budget candidate: everything the global greedy needs to select,
-/// group, and aggregate a pipe without its home shard.
+/// group, and aggregate a pipe without its home shard. A shard's
+/// candidates share one region string, so copying a candidate copies no
+/// string.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Candidate {
     score: f64,
     length_m: f64,
     material: u8,
     laid_year: i32,
-    region: String,
+    region: Arc<str>,
 }
 
 /// One shard's (or backend's) contribution to an aggregation: either
@@ -971,6 +975,7 @@ pub(crate) fn shard_partial(
 
     if let Some(budget) = spec.budget_length_m {
         let attrs = attrs.expect("needs_attributes covers budget mode");
+        let region: Arc<str> = region.into();
         let mut candidates = Vec::new();
         let mut cumulative = 0.0f64;
         for (i, entry) in entries.iter().enumerate() {
@@ -980,7 +985,7 @@ pub(crate) fn shard_partial(
                 length_m,
                 material: attrs.material_index(i) as u8,
                 laid_year: attrs.laid_year(i),
-                region: region.clone(),
+                region: Arc::clone(&region),
             };
             if cumulative + length_m <= budget {
                 cumulative += length_m;
@@ -1143,19 +1148,6 @@ fn merge_budget(
 // Rendering — one canonical renderer for every topology.
 // ---------------------------------------------------------------------------
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render a column value: counts as integers, everything else through
 /// Rust's shortest-round-trip f64 formatting.
 fn render_value(agg: &Aggregate, state: &GroupState) -> String {
@@ -1192,7 +1184,7 @@ pub(crate) fn render_aggregate(
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":\"{}\"", name.name(), escape_json(value)));
+            out.push_str(&format!("\"{}\":{}", name.name(), json_str(value)));
         }
         out.push('}');
         for agg in &spec.aggregates {
@@ -1225,12 +1217,12 @@ pub(crate) fn render_partial(partial: &AggregatePartial) -> String {
                 out.push(',');
             }
             out.push_str(&format!(
-                "[{},{},{},{},\"{}\"]",
+                "[{},{},{},{},{}]",
                 c.score,
                 c.length_m,
                 c.material,
                 c.laid_year,
-                escape_json(&c.region)
+                json_str(&c.region)
             ));
         }
         out.push_str("]}");
@@ -1246,7 +1238,7 @@ pub(crate) fn render_partial(partial: &AggregatePartial) -> String {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", escape_json(value)));
+            out.push_str(&json_str(value));
         }
         out.push_str(&format!(
             "],\"state\":[{},{},{},{},{},{},{}]}}",
@@ -1329,7 +1321,7 @@ pub(crate) fn parse_partial(
                     length_m,
                     material,
                     laid_year,
-                    region: region.clone(),
+                    region: Arc::from(region.as_str()),
                 });
             }
             Ok(AggregatePartial { groups: Vec::new(), candidates: Some(candidates) })
@@ -1772,6 +1764,24 @@ mod tests {
             parse_partial(&spec_budget, &groups_wire),
             Err(AggregateError::BadPartial(_))
         ));
+
+        // A region name holding a quote, a backslash, a tab and a newline:
+        // the wire and the body carry its key as `json_str` escapes it, and
+        // both wire modes still round-trip.
+        let name = "Region \"Q\" \\ \t\n";
+        let key = json_str(&region_key(name));
+        let s = scorer_with_attrs(name, 23, 0.987654321);
+        let partial = shard_partial(&spec_groups, &s).expect("partial");
+        let wire = render_partial(&partial);
+        assert!(wire.starts_with(&format!("{{\"groups\":[{{\"key\":[{key},")), "{wire}");
+        assert_eq!(parse_partial(&spec_groups, &wire).expect("round trip"), partial);
+        let (groups, _) = merge_partials(&spec_groups, &[partial]);
+        let body = render_aggregate(&spec_groups, groups, None);
+        assert!(body.starts_with(&format!("{{\"groups\":[{{\"key\":{{\"region\":{key},")), "{body}");
+        let partial = shard_partial(&spec_budget, &s).expect("partial");
+        let wire = render_partial(&partial);
+        assert!(wire.contains(&format!(",{key}]")), "{wire}");
+        assert_eq!(parse_partial(&spec_budget, &wire).expect("round trip"), partial);
     }
 
     #[test]

@@ -279,13 +279,6 @@ impl ServeContext {
         self
     }
 
-    /// This context with an explicit task pool for `/aggregate`'s
-    /// per-shard partials.
-    pub fn with_pool(mut self, pool: TaskPool) -> Self {
-        self.pool = pool;
-        self
-    }
-
     /// The served shards.
     pub fn shards(&self) -> &ShardSet {
         &self.shards
@@ -1218,8 +1211,8 @@ pub fn render_pipe_risk(risk: &PipeRisk) -> String {
 /// JSON for a top-K answer; the exact body served by `GET /top`.
 ///
 /// Streams into one preallocated buffer instead of allocating a `String`
-/// per entry — at `k=100` this is the hot path of the `serve/sharded/*`
-/// benches, and per-entry allocation dominated the merge itself.
+/// per entry: at `k=100`, per-entry allocation cost more than the top-K
+/// merge itself.
 pub fn render_top_k(scorer: &Scorer, k: usize) -> String {
     use std::fmt::Write as _;
     let top = scorer.top_k(k);
@@ -1272,16 +1265,13 @@ pub fn render_model(scorer: &Scorer) -> String {
     )
 }
 
-/// JSON for one merged [`GlobalRisk`] entry: the pipe's risk, its
-/// *global* rank (position in the merged ranking), the region key it came
-/// from, and its rank within that shard.
 /// JSON for the scatter-gathered global top-K; the exact body served by a
 /// region-less `GET /top` on a sharded server. Entries carry the global
 /// rank, the owning region, and the entry's rank *within* that region.
 ///
-/// Streamed into one buffer with the shard keys escaped once up front —
+/// Streamed into one buffer with the shard keys escaped once up front:
 /// per-entry allocation here was the bulk of the scatter-gather overhead
-/// over monolithic serving (see `serve/sharded/*` in `BENCH_perf.json`).
+/// over monolithic serving.
 pub fn render_global_top_k(shards: &ShardSet, merged: &[GlobalRisk], k: usize) -> String {
     let keys: Vec<String> = shards.shards().iter().map(|s| json_str(s.key())).collect();
     render_global_top_k_keys(&keys, merged, k)
@@ -1314,8 +1304,10 @@ pub(crate) fn render_global_top_k_keys(
     out
 }
 
-/// Append one merged entry to `out`; `keys` holds the pre-escaped shard
-/// keys so per-entry rendering never re-escapes.
+/// Append the JSON for one merged [`GlobalRisk`] entry to `out`: the
+/// pipe's risk, its *global* rank (position in the merged ranking), the
+/// region key it came from, and its rank within that shard. `keys` holds
+/// the pre-escaped shard keys so per-entry rendering never re-escapes.
 fn write_global_risk(out: &mut String, keys: &[String], g: &GlobalRisk, global_rank: usize) {
     use std::fmt::Write as _;
     let _ = write!(

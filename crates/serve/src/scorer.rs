@@ -448,8 +448,8 @@ impl Scorer {
     }
 
     /// One pipe's risk, if it was ranked. O(log n): a binary search over
-    /// the index columns (`serve_bench` tracks the lookup latency as
-    /// `scorer/risk_of_100k`).
+    /// the index columns (a traced perfbench `lookup` run reports its cost
+    /// as `scorer.risk_of_ns`).
     pub fn risk_of(&self, pipe: PipeId) -> Option<PipeRisk> {
         let c = &self.columns;
         let i = c.u32s(&c.layout.index_ids).binary_search(&pipe.0).ok()?;

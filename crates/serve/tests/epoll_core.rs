@@ -16,7 +16,9 @@
 //! The serving threads share one epoll instance, so three more companions
 //! pin what sharing must not break: a stalled handler holds only its own
 //! thread, `shutdown()` wakes every thread promptly, and the open-connection
-//! gauge returns to zero however (and by whom) connections are closed.
+//! gauge returns to zero however (and by whom) connections are closed. A
+//! last one holds 1,024 connections open and answers a request on every
+//! one of them, all in flight at once.
 #![cfg(target_os = "linux")]
 
 mod common;
@@ -26,6 +28,7 @@ use common::Conn;
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::Snapshot;
 use pipefail_network::ids::PipeId;
+use pipefail_serve::http::render_pipe_risk;
 use pipefail_serve::{
     serve, serve_federated, FedConfig, Federation, Scorer, ServeContext, ServerConfig, ServerHandle,
 };
@@ -40,7 +43,11 @@ use std::time::{Duration, Instant};
 /// `/top?k=1000` yields a multi-kilobyte body (so server-side writes can
 /// go partial), small and deterministic.
 fn scorer() -> Scorer {
-    let n = 1000u32;
+    ranked(1000)
+}
+
+/// `n` pipes with strictly decreasing scores: pipe `i` has rank `i`.
+fn ranked(n: u32) -> Scorer {
     let ranking = RiskRanking::new(
         (0..n)
             .map(|i| RiskScore { pipe: PipeId(i), score: 1.0 - f64::from(i) / f64::from(n) })
@@ -393,5 +400,39 @@ fn open_connection_gauge_returns_to_zero_under_concurrent_closers() {
     }
     assert_eq!(metrics.connections_open(), 0, "open-connection gauge leaked");
     drop(held);
+    server.shutdown();
+}
+
+/// The default configuration holds 1,024 open connections and answers
+/// every request on each. One test thread opens them all and holds them;
+/// each round writes one request on every connection before reading any
+/// answer, so all 1,024 requests are in flight at once. Every request asks
+/// for a different pipe, so an answer delivered to the wrong connection
+/// fails on its body. Each connection takes two descriptors in this
+/// process, its client end and its server end, so the test needs an
+/// open-file limit of about 2,100.
+#[test]
+fn holds_1024_connections_and_answers_every_request() {
+    const CLIENTS: u32 = 1024;
+    const ROUNDS: u32 = 2;
+    let ctx = Arc::new(ServeContext::new(ranked(CLIENTS * ROUNDS)));
+    let server = serve(Arc::clone(&ctx), &ServerConfig::default()).expect("server start");
+    let mut clients: Vec<Conn> = (0..CLIENTS).map(|_| Conn::connect(server.addr())).collect();
+    for round in 0..ROUNDS {
+        let id = |i: u32| round * CLIENTS + i;
+        for (i, conn) in (0..).zip(clients.iter_mut()) {
+            conn.send(&common::get_request(&format!("/pipe?id={}", id(i)), true));
+        }
+        for (i, conn) in (0..).zip(clients.iter_mut()) {
+            let expected = render_pipe_risk(&ctx.scorer().risk_of(PipeId(id(i))).expect("ranked"));
+            let response = conn.read_response();
+            assert_eq!(
+                (response.status, response.body),
+                (200, expected),
+                "round {round}, connection {i}"
+            );
+        }
+    }
+    assert_eq!(server.metrics().connections_open(), clients.len() as u64);
     server.shutdown();
 }
