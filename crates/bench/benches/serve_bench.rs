@@ -234,6 +234,16 @@ mod mmap_load {
     use std::sync::{Arc, RwLock};
     use std::time::Instant;
 
+    /// The harness's temporary directory, removed with whatever it holds
+    /// when dropped, also when a load panics mid-size.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
     /// Median of `reps` timed runs of `f`, in nanoseconds.
     fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
         let mut samples: Vec<u64> = (0..reps)
@@ -255,14 +265,16 @@ mod mmap_load {
             &[10_000, 100_000, 1_000_000]
         };
         let reps = if smoke { 5 } else { 9 };
-        let dir = std::env::temp_dir().join(format!("pipefail_mmap_bench_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create bench temp dir");
+        let dir = TempDir(
+            std::env::temp_dir().join(format!("pipefail_mmap_bench_{}", std::process::id())),
+        );
+        std::fs::create_dir_all(&dir.0).expect("create bench temp dir");
 
         let mut records = Vec::new();
         for &n in sizes {
             let snap = super::bench_snapshot(n);
-            let v2: PathBuf = dir.join(format!("cold_{n}.v2.pfsnap"));
-            let v1: PathBuf = dir.join(format!("cold_{n}.v1.pfsnap"));
+            let v2: PathBuf = dir.0.join(format!("cold_{n}.v2.pfsnap"));
+            let v1: PathBuf = dir.0.join(format!("cold_{n}.v1.pfsnap"));
             snap.save_as(&v2, SnapshotFormat::V2).expect("write v2");
             snap.save_as(&v1, SnapshotFormat::V1).expect("write v1");
             drop(snap);

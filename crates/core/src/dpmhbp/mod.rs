@@ -19,13 +19,23 @@
 //! on transformed scales, and the DP concentration `α` by the Escobar–West
 //! auxiliary-variable step. Covariates enter as exposure multipliers fitted
 //! by Poisson regression (see [`crate::covariates`]).
+//!
+//! The auxiliary components follow the **ReUse** scheme of Favaro & Teh
+//! (2013, *Statistical Science* 28(3)): a pool of `aux_m` empty clusters is
+//! drawn from the prior at the start of each assignment sweep and kept alive
+//! across unit updates, each with its cached likelihood column, so a unit
+//! update costs one cached lookup per live cluster and pool slot plus one
+//! categorical draw. A slot a unit takes becomes a live cluster and is
+//! refilled from the prior; a cluster that empties replaces a uniformly
+//! drawn slot, so a singleton's own `(q, c)` stay among the auxiliaries, as
+//! Algorithm 8 requires.
 
 mod state;
 
 use crate::checkpoint::{CheckpointSpec, Fingerprint, Reader, Writer};
 use crate::covariates::CovariateAdjuster;
 use crate::crp::resample_alpha;
-use crate::hier::{MarginalContext, PatternTable};
+use crate::hier::PatternTable;
 use crate::model::{FailureModel, RiskRanking, RiskScore};
 use crate::{CoreError, Result};
 use pipefail_mcmc::slice::SliceSampler;
@@ -38,7 +48,9 @@ use pipefail_network::split::TrainTestSplit;
 use pipefail_stats::dist::{sample_from_log_weights, Beta, ContinuousDist, Gamma, Sampler};
 use pipefail_stats::rng::seeded_rng;
 use rand::rngs::StdRng;
+use rand::Rng;
 use state::{Cluster, ClusterSlots};
+use std::time::Instant;
 
 /// DPMHBP configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +69,9 @@ pub struct DpmhbpConfig {
     pub c0: f64,
     /// Gamma prior (shape, rate) on the group concentrations `c_k`.
     pub c_prior: (f64, f64),
-    /// Number of auxiliary components in Neal's Algorithm 8.
+    /// Number of auxiliary components in Neal's Algorithm 8: the size of
+    /// the auxiliary pool that Favaro & Teh's ReUse scheme keeps alive
+    /// across unit updates (0 counts as 1).
     pub aux_m: usize,
     /// Multiplicative covariate adjustment; `None` disables it.
     pub covariates: Option<FeatureMask>,
@@ -117,6 +131,15 @@ pub struct DpmhbpDiagnostics {
     pub alpha: Vec<f64>,
     /// Size-weighted mean group rate at each retained sweep.
     pub mean_q: Vec<f64>,
+    /// Wall-clock seconds spent in the assignment phase over the sweeps the
+    /// call ran (a resumed fit counts only its own sweeps). Like the other
+    /// phase times it is kept out of the checkpoint and the posterior
+    /// summary, which stay functions of the seed.
+    pub assignment_secs: f64,
+    /// Wall-clock seconds spent in the `(q_k, c_k)` parameter phase.
+    pub parameter_secs: f64,
+    /// Wall-clock seconds spent resampling `α`.
+    pub alpha_secs: f64,
 }
 
 /// The DPMHBP failure-prediction model.
@@ -162,12 +185,16 @@ struct Sampler8<'a> {
     q_prior: Beta,
     c_prior_dist: Gamma,
     aux_m: usize,
+    /// The ReUse auxiliary pool: `aux_m` empty clusters with cached
+    /// likelihood columns, drawn at the start of every assignment sweep.
+    /// Between sweeps it holds nothing the next sweep reads, so checkpoints
+    /// do not store it.
+    pool: Vec<Cluster>,
     slice_q: SliceSampler,
     slice_c: SliceSampler,
     // scratch buffers to avoid per-unit allocation
     weight_slots: Vec<usize>,
     weights: Vec<f64>,
-    aux_params: Vec<(f64, f64)>,
 }
 
 impl<'a> Sampler8<'a> {
@@ -176,6 +203,7 @@ impl<'a> Sampler8<'a> {
             .map_err(|_| CoreError::BadConfig("invalid (q0, c0) hyper-prior"))?;
         let c_prior_dist = Gamma::new(config.c_prior.0, config.c_prior.1)
             .map_err(|_| CoreError::BadConfig("invalid c prior"))?;
+        let aux_m = config.aux_m.max(1);
         let mut s = Self {
             table,
             slots: ClusterSlots::new(),
@@ -183,21 +211,28 @@ impl<'a> Sampler8<'a> {
             alpha: config.alpha,
             q_prior,
             c_prior_dist,
-            aux_m: config.aux_m.max(1),
+            aux_m,
+            pool: Vec::with_capacity(aux_m),
             slice_q: SliceSampler::new(1.0),
             slice_c: SliceSampler::new(0.7),
             weight_slots: Vec::new(),
             weights: Vec::new(),
-            aux_params: Vec::new(),
         };
         // Initialise: everyone in one cluster drawn from the prior.
-        let q = s.q_prior.sample(rng);
-        let c = s.c_prior_dist.sample(rng).max(1e-3);
-        let slot = s.slots.insert(Cluster::new(q, c, table));
+        let first = s.prior_cluster(rng);
+        let slot = s.slots.insert(first);
         for l in 0..table.units() {
             s.assign(l, slot);
         }
         Ok(s)
+    }
+
+    /// An empty cluster with `(q, c)` drawn from the prior and its
+    /// likelihood column cached.
+    fn prior_cluster(&self, rng: &mut StdRng) -> Cluster {
+        let q = self.q_prior.sample(rng);
+        let c = self.c_prior_dist.sample(rng).max(1e-3);
+        Cluster::new(q, c, self.table)
     }
 
     fn assign(&mut self, unit: usize, slot: usize) {
@@ -208,7 +243,10 @@ impl<'a> Sampler8<'a> {
         self.z[unit] = slot;
     }
 
-    fn unassign(&mut self, unit: usize) {
+    /// Take `unit` out of its cluster. A cluster left empty replaces a
+    /// uniformly drawn pool slot, column included, so its `(q, c)` stay
+    /// among the auxiliaries the unit is weighed against.
+    fn unassign(&mut self, unit: usize, rng: &mut StdRng) {
         let slot = self.z[unit];
         let pat = self.table.pattern_of(unit);
         let dead = {
@@ -218,43 +256,43 @@ impl<'a> Sampler8<'a> {
             c.n == 0
         };
         if dead {
-            self.slots.remove(slot);
+            let j = rng.gen_range(0..self.pool.len());
+            self.pool[j] = self.slots.remove(slot);
         }
         self.z[unit] = usize::MAX;
     }
 
-    /// One CRP sweep over all units (Neal's Algorithm 8 with `aux_m`
-    /// auxiliary components redrawn per unit).
+    /// One CRP sweep over all units: Neal's Algorithm 8 over the ReUse
+    /// pool. Each unit weighs the live clusters by `ln n_k` and the pool
+    /// slots by `ln(α/m)`, plus the cached likelihood of its pattern; a
+    /// prior draw happens only to refill a slot that a unit took.
     fn sweep_assignments(&mut self, rng: &mut StdRng) {
+        self.pool.clear();
+        for _ in 0..self.aux_m {
+            let aux = self.prior_cluster(rng);
+            self.pool.push(aux);
+        }
+        let ln_alpha_m = (self.alpha / self.aux_m as f64).ln();
         for unit in 0..self.table.units() {
-            self.unassign(unit);
+            self.unassign(unit, rng);
             let pat = self.table.pattern_of(unit);
             self.weight_slots.clear();
             self.weights.clear();
-            self.aux_params.clear();
             for (slot, cluster) in self.slots.iter() {
                 self.weight_slots.push(slot);
                 self.weights
                     .push((cluster.n as f64).ln() + cluster.loglik[pat]);
             }
-            let ln_alpha_m = (self.alpha / self.aux_m as f64).ln();
-            let pat_obj = self.table.pattern(pat);
-            for _ in 0..self.aux_m {
-                let q = self.q_prior.sample(rng);
-                let c = self.c_prior_dist.sample(rng).max(1e-3);
-                self.aux_params.push((q, c));
-                // Context evaluation halves the log-gamma count even for a
-                // single pattern (3 hoisted + integer-shift recurrences
-                // instead of 6 direct).
-                self.weights
-                    .push(ln_alpha_m + MarginalContext::new(q, c).log_marginal(pat_obj));
-            }
+            self.weights
+                .extend(self.pool.iter().map(|aux| ln_alpha_m + aux.loglik[pat]));
             let choice = sample_from_log_weights(&self.weights, rng);
-            let slot = if choice < self.weight_slots.len() {
-                self.weight_slots[choice]
-            } else {
-                let (q, c) = self.aux_params[choice - self.weight_slots.len()];
-                self.slots.insert(Cluster::new(q, c, self.table))
+            let slot = match choice.checked_sub(self.weight_slots.len()) {
+                None => self.weight_slots[choice],
+                Some(j) => {
+                    let refill = self.prior_cluster(rng);
+                    self.slots
+                        .insert(std::mem::replace(&mut self.pool[j], refill))
+                }
             };
             self.assign(unit, slot);
         }
@@ -335,11 +373,25 @@ impl<'a> Sampler8<'a> {
     }
 
     /// Debug cross-check of the incremental caches: every live cluster's
-    /// likelihood column must match a from-scratch recompute at its current
-    /// `(q, c)`, and its membership bookkeeping must match a from-scratch
-    /// histogram of `z`. Compiled away in release builds.
+    /// and every pool slot's likelihood column must match a from-scratch
+    /// recompute at its current `(q, c)`; a live cluster's membership
+    /// bookkeeping must match a from-scratch histogram of `z`, and a pool
+    /// slot must have no members. Compiled away in release builds.
     #[cfg(debug_assertions)]
     fn debug_validate_caches(&self) {
+        debug_assert_eq!(self.pool.len(), self.aux_m);
+        for (j, aux) in self.pool.iter().enumerate() {
+            let err = aux.cache_error(self.table);
+            debug_assert!(
+                err <= 1e-12,
+                "stale likelihood cache in pool slot {j}: max deviation {err:e}"
+            );
+            debug_assert_eq!(aux.n, 0, "pool slot {j} has members");
+            debug_assert!(
+                aux.pattern_counts.iter().all(|&k| k == 0.0),
+                "pool slot {j} has pattern counts"
+            );
+        }
         let mut n_by_slot: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
         let mut counts_by_slot: std::collections::HashMap<usize, Vec<f64>> =
             std::collections::HashMap::new();
@@ -430,7 +482,11 @@ impl Dpmhbp {
         // triple; a stale or foreign checkpoint is silently ignored.
         let fingerprint = {
             let mut fp = Fingerprint::new();
-            fp.push_str("dpmhbp").push_u64(seed);
+            // The sampler tag names the assignment scheme: a checkpoint
+            // written by another scheme's chain must not resume this one.
+            fp.push_str("dpmhbp")
+                .push_str("algorithm8-reuse")
+                .push_u64(seed);
             let s = &self.config.schedule;
             fp.push_usize(s.burn_in).push_usize(s.samples).push_usize(s.thin);
             fp.push_f64(self.config.alpha)
@@ -493,12 +549,16 @@ impl Dpmhbp {
         let mut health = ChainHealth::new(self.config.health);
         for it in start_it..total {
             health.begin_sweep()?;
-            sampler.sweep_assignments(&mut rng);
-            sampler.sweep_parameters(&mut rng)?;
+            let d = &mut self.diagnostics;
+            timed(&mut d.assignment_secs, || {
+                sampler.sweep_assignments(&mut rng)
+            });
+            timed(&mut d.parameter_secs, || sampler.sweep_parameters(&mut rng))?;
             #[cfg(debug_assertions)]
             sampler.debug_validate_caches();
             if self.config.sample_alpha {
-                sampler.sweep_alpha(self.config.alpha_prior, &mut rng);
+                let prior = self.config.alpha_prior;
+                timed(&mut d.alpha_secs, || sampler.sweep_alpha(prior, &mut rng));
             }
             health.observe_monitor(sampler.size_weighted_mean_q())?;
             if sched.keep(it) {
@@ -572,6 +632,14 @@ impl Dpmhbp {
             .collect();
         RiskRanking::try_new(scores)
     }
+}
+
+/// Run `f`, adding its wall-clock seconds to `acc`.
+fn timed<T>(acc: &mut f64, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *acc += start.elapsed().as_secs_f64();
+    out
 }
 
 /// Chain state reconstructed from a checkpoint file.
@@ -729,6 +797,7 @@ fn restore_checkpoint(
             clusters: r.f64_slice("diag_clusters")?,
             alpha: r.f64_slice("diag_alpha")?,
             mean_q: r.f64_slice("diag_mean_q")?,
+            ..DpmhbpDiagnostics::default()
         },
         next_iteration,
     })
@@ -806,6 +875,7 @@ mod tests {
         assert_eq!(d.clusters.len(), DpmhbpConfig::fast().schedule.retained());
         assert!(model.mean_cluster_count().unwrap() >= 1.0);
         assert!(d.alpha.iter().all(|a| *a > 0.0));
+        assert!(d.assignment_secs > 0.0 && d.parameter_secs > 0.0);
     }
 
     #[test]
@@ -974,6 +1044,7 @@ mod tests {
         // parameter sweep, each live cluster's cached likelihood column
         // matches a from-scratch recompute at its current (q, c) to 1e-12,
         // and its membership counts match a from-scratch histogram of z.
+        // Every pool slot holds a fresh column too, and no members.
         let table = PatternTable::build(
             (0..600)
                 .map(|i| {
@@ -1008,6 +1079,119 @@ mod tests {
                     "sweep {sweep}, slot {slot}: stale pattern counts"
                 );
             }
+            assert_eq!(s.pool.len(), config.aux_m);
+            for (j, aux) in s.pool.iter().enumerate() {
+                let err = aux.cache_error(&table);
+                assert!(
+                    err <= 1e-12,
+                    "sweep {sweep}, pool slot {j}: cached loglik deviates by {err:e}"
+                );
+                assert_eq!(aux.n, 0, "sweep {sweep}, pool slot {j}: has members");
+                assert!(
+                    aux.pattern_counts.iter().all(|&k| k == 0.0),
+                    "sweep {sweep}, pool slot {j}: nonzero pattern counts"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn partition_frequencies_match_exact_posterior() {
+        // Three units, two alike. With α fixed the partition posterior is
+        // exact: CRP(α) times, per block, the marginal likelihood
+        // ∫∫ Π_{u ∈ block} m(pattern_u | q, c) p(q) p(c) dq dc, here by
+        // 400×400 midpoint quadrature over logit q and ln c. A sampler that
+        // drops an emptied singleton's (q, c) instead of keeping it among
+        // the auxiliaries puts far too much mass on the one-cluster
+        // partition and fails this.
+        let table =
+            PatternTable::build([(0.0, 11.0, 1.0), (0.0, 11.0, 1.0), (6.0, 5.0, 1.0)].into_iter());
+        let q0 = 0.1;
+        let config = DpmhbpConfig {
+            alpha: 1.0,
+            sample_alpha: false,
+            q0: Some(q0),
+            ..DpmhbpConfig::default()
+        };
+        // The five partitions of {0, 1, 2}, in the order `partition_of`
+        // below numbers them.
+        let partitions: [&[&[usize]]; 5] = [
+            &[&[0, 1, 2]],
+            &[&[0, 1], &[2]],
+            &[&[0, 2], &[1]],
+            &[&[1, 2], &[0]],
+            &[&[0], &[1], &[2]],
+        ];
+        let partition_of = |z: &[usize]| match (z[0] == z[1], z[0] == z[2], z[1] == z[2]) {
+            (true, true, _) => 0,
+            (true, false, _) => 1,
+            (false, true, _) => 2,
+            (false, false, true) => 3,
+            (false, false, false) => 4,
+        };
+
+        let q_prior = Beta::with_mean_concentration(q0, config.c0).unwrap();
+        let c_prior = Gamma::new(config.c_prior.0, config.c_prior.1).unwrap();
+        const N: usize = 400;
+        let (y_lo, y_hi, t_lo, t_hi) = (-20.0, 12.0, -9.0, 11.0);
+        let (dy, dt) = ((y_hi - y_lo) / N as f64, (t_hi - t_lo) / N as f64);
+        // Per midpoint: ln(prior density × Jacobian × cell area), and each
+        // unit's log marginal there.
+        let mut grid: Vec<(f64, [f64; 3])> = Vec::with_capacity(N * N);
+        for i in 0..N {
+            let y = y_lo + (i as f64 + 0.5) * dy;
+            let q = 1.0 / (1.0 + (-y).exp());
+            let ln_q_part = q_prior.ln_pdf(q) + q.ln() + (1.0 - q).ln();
+            for j in 0..N {
+                let t = t_lo + (j as f64 + 0.5) * dt;
+                let c = t.exp();
+                let ln_w = ln_q_part + c_prior.ln_pdf(c) + t + (dy * dt).ln();
+                let lm = [0, 1, 2].map(|u| table.pattern(table.pattern_of(u)).log_marginal(q, c));
+                grid.push((ln_w, lm));
+            }
+        }
+        let block_ln_marginal = |block: &[usize]| {
+            let terms: Vec<f64> = grid
+                .iter()
+                .map(|(ln_w, lm)| ln_w + block.iter().map(|&u| lm[u]).sum::<f64>())
+                .collect();
+            pipefail_stats::special::log_sum_exp(&terms)
+        };
+        // CRP: α^K Π_k (n_k − 1)!, up to a constant shared by all partitions.
+        let ln_post: Vec<f64> = partitions
+            .iter()
+            .map(|blocks| {
+                blocks
+                    .iter()
+                    .map(|b| {
+                        config.alpha.ln()
+                            + ((1..b.len()).product::<usize>() as f64).ln()
+                            + block_ln_marginal(b)
+                    })
+                    .sum()
+            })
+            .collect();
+        let ln_norm = pipefail_stats::special::log_sum_exp(&ln_post);
+        let exact: Vec<f64> = ln_post.iter().map(|l| (l - ln_norm).exp()).collect();
+
+        let mut rng = seeded_rng(7);
+        let mut s = Sampler8::new(&table, &config, q0, &mut rng).unwrap();
+        let (burn_in, counted) = (1_000, 40_000);
+        let mut hits = [0usize; 5];
+        for sweep in 0..burn_in + counted {
+            s.sweep_assignments(&mut rng);
+            s.sweep_parameters(&mut rng).unwrap();
+            if sweep >= burn_in {
+                hits[partition_of(&s.z)] += 1;
+            }
+        }
+        for (k, blocks) in partitions.iter().enumerate() {
+            let freq = hits[k] as f64 / counted as f64;
+            assert!(
+                (freq - exact[k]).abs() <= 0.03,
+                "partition {blocks:?}: sampled {freq:.3}, exact {:.3} (all: {exact:.3?})",
+                exact[k]
+            );
         }
     }
 

@@ -47,6 +47,9 @@ fn main() {
     let world = ctx.build_world();
     let pool = ctx.run_config().pool();
     let mut out = String::new();
+    // Wall-clock phase times vary run to run, so they go to stdout only and
+    // the artifact stays a function of the seed.
+    let mut phase_times = String::new();
     for ds in world.regions() {
         // Chains are fully independent fits, so the pool fans them out;
         // results come back in chain order regardless of thread count.
@@ -84,8 +87,20 @@ fn main() {
             ));
         }
         out.push('\n');
+        let sum = |select: fn(&DpmhbpDiagnostics) -> f64| diags.iter().map(select).sum::<f64>();
+        phase_times.push_str(&format!(
+            "{:<9} assignments {:>7.3}  parameters {:>7.3}  alpha {:>7.3}\n",
+            ds.name(),
+            sum(|d| d.assignment_secs),
+            sum(|d| d.parameter_secs),
+            sum(|d| d.alpha_secs),
+        ));
     }
     section("DPMHBP sampler convergence diagnostics (multi-chain)", &out);
+    section(
+        &format!("DPMHBP seconds per Gibbs phase (wall clock, summed over {CHAINS} chains)"),
+        &phase_times,
+    );
     ctx.write_artifact("mcmc_diagnostics.txt", &out)
         .expect("write artifact");
 }
