@@ -1,9 +1,8 @@
-//! MCMC kernel throughput: slice and random-walk transitions on the kinds
-//! of posteriors the pipe models sample, plus diagnostics cost.
+//! MCMC kernel throughput: a slice transition on the kind of posterior the
+//! pipe models sample, plus diagnostics cost.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pipefail_mcmc::diagnostics::{effective_sample_size, split_r_hat};
-use pipefail_mcmc::rw::RandomWalkMetropolis;
 use pipefail_mcmc::slice::SliceSampler;
 use pipefail_mcmc::transform::Transform;
 use pipefail_stats::rng::seeded_rng;
@@ -28,15 +27,6 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             y = slice.step(y, &wrapped, &mut rng);
             black_box(y)
-        })
-    });
-
-    let mut rw = RandomWalkMetropolis::new(0.5);
-    let mut x = logit.forward(0.01);
-    g.bench_function("rw_metropolis_step", |b| {
-        b.iter(|| {
-            x = rw.step(x, &wrapped, &mut rng);
-            black_box(x)
         })
     });
     g.finish();

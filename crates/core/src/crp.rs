@@ -2,126 +2,12 @@
 //!
 //! The constructive representation of the Dirichlet process used for
 //! flexible pipe grouping: customer `l` joins occupied table `r` with
-//! probability ∝ `n_r`, or a new table with probability ∝ `α`. This module
-//! provides the prior-predictive weights the Gibbs sampler needs, sequential
-//! generation (for prior simulation and tests), partition bookkeeping, and
+//! probability ∝ `n_r`, or a new table with probability ∝ `α`. DPMHBP's
+//! assignment sweep weighs its clusters this way itself; this module holds
 //! the Escobar–West resampling step for `α`.
 
 use pipefail_stats::dist::{Beta as BetaDist, Gamma, Sampler};
-use pipefail_stats::special::ln_gamma;
 use rand::Rng;
-
-/// CRP seating state: cluster sizes plus total customer count.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Seating {
-    sizes: Vec<usize>,
-    total: usize,
-}
-
-impl Seating {
-    /// Empty restaurant.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cluster sizes (occupied tables only; zero-size tables are removed).
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Number of occupied tables.
-    pub fn tables(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// Number of seated customers.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Seat a customer at table `t` (may equal `tables()` to open a new
-    /// table). Returns the table index.
-    pub fn seat(&mut self, t: usize) -> usize {
-        assert!(t <= self.sizes.len(), "table index out of range");
-        if t == self.sizes.len() {
-            self.sizes.push(0);
-        }
-        self.sizes[t] += 1;
-        self.total += 1;
-        t
-    }
-
-    /// Remove a customer from table `t`; returns `Some(t_removed)` if the
-    /// table became empty and was deleted (indices above shift down).
-    pub fn unseat(&mut self, t: usize) -> Option<usize> {
-        assert!(self.sizes[t] > 0, "unseat from empty table");
-        self.sizes[t] -= 1;
-        self.total -= 1;
-        if self.sizes[t] == 0 {
-            self.sizes.remove(t);
-            Some(t)
-        } else {
-            None
-        }
-    }
-
-    /// Prior log-weights for the next customer: `ln n_r` for each occupied
-    /// table followed by `ln α` for a new one (the shared normaliser
-    /// `n − 1 + α` cancels in Gibbs sampling and is omitted).
-    pub fn log_prior_weights(&self, alpha: f64, out: &mut Vec<f64>) {
-        out.clear();
-        for &n in &self.sizes {
-            out.push((n as f64).ln());
-        }
-        out.push(alpha.ln());
-    }
-}
-
-/// Simulate a CRP partition of `n` customers with concentration `alpha`.
-/// Returns cluster assignments `z[l]`.
-pub fn simulate<R: Rng + ?Sized>(n: usize, alpha: f64, rng: &mut R) -> Vec<usize> {
-    assert!(alpha > 0.0, "CRP concentration must be positive");
-    let mut seating = Seating::new();
-    let mut z = Vec::with_capacity(n);
-    for l in 0..n {
-        let t = if l == 0 {
-            0
-        } else {
-            let u: f64 = rng.gen::<f64>() * (l as f64 + alpha);
-            let mut acc = 0.0;
-            let mut chosen = seating.tables();
-            for (i, &s) in seating.sizes().iter().enumerate() {
-                acc += s as f64;
-                if u < acc {
-                    chosen = i;
-                    break;
-                }
-            }
-            chosen
-        };
-        z.push(seating.seat(t));
-    }
-    z
-}
-
-/// Expected number of tables for `n` customers: `α·(ψ(α+n) − ψ(α)) ≈
-/// α·ln(1 + n/α)`.
-pub fn expected_tables(n: usize, alpha: f64) -> f64 {
-    use pipefail_stats::special::digamma;
-    alpha * (digamma(alpha + n as f64) - digamma(alpha))
-}
-
-/// Log-probability of a partition with cluster sizes `sizes` under CRP(α)
-/// (exchangeable partition probability function).
-pub fn log_partition_probability(sizes: &[usize], alpha: f64) -> f64 {
-    let n: usize = sizes.iter().sum();
-    let k = sizes.len();
-    let mut lp = k as f64 * alpha.ln() + ln_gamma(alpha) - ln_gamma(alpha + n as f64);
-    for &s in sizes {
-        lp += ln_gamma(s as f64);
-    }
-    lp
-}
 
 /// One Escobar–West update of the DP concentration `α` under a
 /// `Gamma(a, b)` prior (rate parameterisation), given `k` occupied tables
@@ -157,87 +43,6 @@ pub fn resample_alpha<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use pipefail_stats::rng::seeded_rng;
-
-    #[test]
-    fn seating_bookkeeping() {
-        let mut s = Seating::new();
-        assert_eq!(s.seat(0), 0);
-        assert_eq!(s.seat(0), 0);
-        assert_eq!(s.seat(1), 1);
-        assert_eq!(s.sizes(), &[2, 1]);
-        assert_eq!(s.total(), 3);
-        assert_eq!(s.unseat(0), None);
-        assert_eq!(s.unseat(1), Some(1));
-        assert_eq!(s.sizes(), &[1]);
-        assert_eq!(s.total(), 1);
-    }
-
-    #[test]
-    fn log_weights_shape() {
-        let mut s = Seating::new();
-        s.seat(0);
-        s.seat(0);
-        s.seat(1);
-        let mut w = Vec::new();
-        s.log_prior_weights(0.5, &mut w);
-        assert_eq!(w.len(), 3);
-        assert!((w[0] - 2.0_f64.ln()).abs() < 1e-12);
-        assert!((w[1] - 0.0).abs() < 1e-12);
-        assert!((w[2] - 0.5_f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simulate_produces_valid_partition() {
-        let mut rng = seeded_rng(130);
-        let z = simulate(500, 2.0, &mut rng);
-        assert_eq!(z.len(), 500);
-        // Assignments are dense: max + 1 == number of distinct clusters.
-        let k = z.iter().copied().max().unwrap() + 1;
-        let distinct: std::collections::HashSet<_> = z.iter().collect();
-        assert_eq!(distinct.len(), k);
-    }
-
-    #[test]
-    fn table_count_grows_logarithmically() {
-        let mut rng = seeded_rng(131);
-        let alpha = 3.0;
-        let n = 2_000;
-        let reps = 40;
-        let mut tables = 0.0;
-        for _ in 0..reps {
-            let z = simulate(n, alpha, &mut rng);
-            tables += (z.iter().copied().max().unwrap() + 1) as f64;
-        }
-        let avg = tables / reps as f64;
-        let want = expected_tables(n, alpha);
-        assert!(
-            (avg - want).abs() < 0.15 * want,
-            "avg tables {avg} vs expected {want}"
-        );
-    }
-
-    #[test]
-    fn higher_alpha_means_more_tables() {
-        let mut rng = seeded_rng(132);
-        let k_small: usize = (0..20)
-            .map(|_| *simulate(300, 0.5, &mut rng).iter().max().unwrap() + 1)
-            .sum();
-        let k_large: usize = (0..20)
-            .map(|_| *simulate(300, 10.0, &mut rng).iter().max().unwrap() + 1)
-            .sum();
-        assert!(k_large > 2 * k_small, "{k_small} vs {k_large}");
-    }
-
-    #[test]
-    fn partition_probabilities_sum_to_one_for_n3() {
-        // All partitions of 3 customers: {3}, {2,1}×3 labelings, {1,1,1}.
-        let alpha = 1.7;
-        let p3 = log_partition_probability(&[3], alpha).exp();
-        let p21 = log_partition_probability(&[2, 1], alpha).exp();
-        let p111 = log_partition_probability(&[1, 1, 1], alpha).exp();
-        let total = p3 + 3.0 * p21 + p111;
-        assert!((total - 1.0).abs() < 1e-10, "total {total}");
-    }
 
     #[test]
     fn alpha_resampling_tracks_table_count() {

@@ -15,10 +15,11 @@
 //!
 //! Inference is Metropolis-within-Gibbs: segment assignments by **Neal's
 //! Algorithm 8** (auxiliary prior draws stand in for the intractable
-//! new-cluster integral), group parameters `(q_k, c_k)` by slice-within-Gibbs
-//! on transformed scales, and the DP concentration `α` by the Escobar–West
-//! auxiliary-variable step. Covariates enter as exposure multipliers fitted
-//! by Poisson regression (see [`crate::covariates`]).
+//! new-cluster integral), group parameters `(q_k, c_k)` by
+//! [`GroupPrior::step`], the slice step HBP's fixed groups use too, and the
+//! DP concentration `α` by the Escobar–West auxiliary-variable step.
+//! Covariates enter as exposure multipliers fitted by Poisson regression
+//! (see [`crate::covariates`]).
 //!
 //! The auxiliary components follow the **ReUse** scheme of Favaro & Teh
 //! (2013, *Statistical Science* 28(3)): a pool of `aux_m` empty clusters is
@@ -35,17 +36,15 @@ mod state;
 use crate::checkpoint::{CheckpointSpec, Fingerprint, Reader, Writer};
 use crate::covariates::CovariateAdjuster;
 use crate::crp::resample_alpha;
-use crate::hier::PatternTable;
+use crate::hier::{sparse_counts, GroupPrior, PatternTable};
 use crate::model::{FailureModel, RiskRanking, RiskScore};
 use crate::{CoreError, Result};
-use pipefail_mcmc::slice::SliceSampler;
-use pipefail_mcmc::transform::Transform;
 use pipefail_mcmc::{ChainHealth, HealthConfig, Schedule};
 use pipefail_network::attributes::PipeClass;
 use pipefail_network::dataset::Dataset;
 use pipefail_network::features::FeatureMask;
 use pipefail_network::split::TrainTestSplit;
-use pipefail_stats::dist::{sample_from_log_weights, Beta, ContinuousDist, Gamma, Sampler};
+use pipefail_stats::dist::sample_from_log_weights;
 use pipefail_stats::rng::seeded_rng;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -182,16 +181,13 @@ struct Sampler8<'a> {
     slots: ClusterSlots,
     z: Vec<usize>,
     alpha: f64,
-    q_prior: Beta,
-    c_prior_dist: Gamma,
+    prior: GroupPrior,
     aux_m: usize,
     /// The ReUse auxiliary pool: `aux_m` empty clusters with cached
     /// likelihood columns, drawn at the start of every assignment sweep.
     /// Between sweeps it holds nothing the next sweep reads, so checkpoints
     /// do not store it.
     pool: Vec<Cluster>,
-    slice_q: SliceSampler,
-    slice_c: SliceSampler,
     // scratch buffers to avoid per-unit allocation
     weight_slots: Vec<usize>,
     weights: Vec<f64>,
@@ -199,22 +195,15 @@ struct Sampler8<'a> {
 
 impl<'a> Sampler8<'a> {
     fn new(table: &'a PatternTable, config: &DpmhbpConfig, q0: f64, rng: &mut StdRng) -> Result<Self> {
-        let q_prior = Beta::with_mean_concentration(q0, config.c0)
-            .map_err(|_| CoreError::BadConfig("invalid (q0, c0) hyper-prior"))?;
-        let c_prior_dist = Gamma::new(config.c_prior.0, config.c_prior.1)
-            .map_err(|_| CoreError::BadConfig("invalid c prior"))?;
         let aux_m = config.aux_m.max(1);
         let mut s = Self {
             table,
             slots: ClusterSlots::new(),
             z: vec![usize::MAX; table.units()],
             alpha: config.alpha,
-            q_prior,
-            c_prior_dist,
+            prior: GroupPrior::new(q0, config.c0, config.c_prior)?,
             aux_m,
             pool: Vec::with_capacity(aux_m),
-            slice_q: SliceSampler::new(1.0),
-            slice_c: SliceSampler::new(0.7),
             weight_slots: Vec::new(),
             weights: Vec::new(),
         };
@@ -230,8 +219,7 @@ impl<'a> Sampler8<'a> {
     /// An empty cluster with `(q, c)` drawn from the prior and its
     /// likelihood column cached.
     fn prior_cluster(&self, rng: &mut StdRng) -> Cluster {
-        let q = self.q_prior.sample(rng);
-        let c = self.c_prior_dist.sample(rng).max(1e-3);
+        let (q, c) = self.prior.draw(rng);
         Cluster::new(q, c, self.table)
     }
 
@@ -298,53 +286,15 @@ impl<'a> Sampler8<'a> {
         }
     }
 
-    /// Slice-update `(q_k, c_k)` for every live cluster and refresh caches.
+    /// Update `(q_k, c_k)` for every live cluster and refresh caches.
     /// Errors (instead of panicking) when a cluster's current parameters
     /// have non-finite posterior density.
     fn sweep_parameters(&mut self, rng: &mut StdRng) -> Result<()> {
-        let logit = Transform::Logit;
-        let log_t = Transform::Log;
         for slot in self.slots.live_slots() {
-            // The slice proposals evaluate the likelihood many times with
-            // these fixed counts; the sparse nonzero list skips the dense
-            // zero scan on every evaluation.
-            let (q_cur, c_cur, counts) = {
-                let cl = self.slots.get(slot);
-                (cl.q, cl.c, crate::hier::sparse_counts(&cl.pattern_counts))
-            };
-            let table = self.table;
-            let q_prior = self.q_prior;
-            let c_prior = self.c_prior_dist;
-            // q | rest
-            let c_fixed = c_cur;
-            let log_post_q = |y: f64| {
-                let q = logit.inverse(y);
-                q_prior.ln_pdf(q)
-                    + table.group_log_likelihood_sparse(&counts, q, c_fixed)
-                    + logit.ln_jacobian(y)
-            };
-            let y = self.slice_q.try_step(
-                logit.forward(q_cur.clamp(1e-9, 1.0 - 1e-9)),
-                &log_post_q,
-                rng,
-            )?;
-            let q_new = logit.inverse(y).clamp(1e-9, 1.0 - 1e-9);
-            // c | rest
-            let log_post_c = |y: f64| {
-                let c = log_t.inverse(y);
-                if !(c.is_finite() && c > 0.0) {
-                    return f64::NEG_INFINITY;
-                }
-                c_prior.ln_pdf(c)
-                    + table.group_log_likelihood_sparse(&counts, q_new, c)
-                    + log_t.ln_jacobian(y)
-            };
-            let y = self.slice_c.try_step(log_t.forward(c_cur), &log_post_c, rng)?;
-            let c_new = log_t.inverse(y).clamp(1e-6, 1e9);
             let cl = self.slots.get_mut(slot);
-            cl.q = q_new;
-            cl.c = c_new;
-            cl.refresh_cache(table);
+            let counts = sparse_counts(&cl.pattern_counts);
+            (cl.q, cl.c) = self.prior.step(self.table, &counts, cl.q, cl.c, rng)?;
+            cl.refresh_cache(self.table);
         }
         Ok(())
     }
@@ -466,17 +416,7 @@ impl Dpmhbp {
         }
         let table = PatternTable::build(rows.into_iter());
 
-        // Empirical hyper mean over units.
-        let q0 = self.config.q0.unwrap_or_else(|| {
-            let mut s = 0.0;
-            let mut m = 0.0;
-            for u in 0..table.units() {
-                let p = table.pattern(table.pattern_of(u));
-                s += p.s;
-                m += p.s + p.f;
-            }
-            ((s + 0.5) / (m + 1.0)).clamp(1e-6, 0.5)
-        });
+        let q0 = self.config.q0.unwrap_or_else(|| table.empirical_rate());
 
         // Fingerprint ties any checkpoint to this exact (seed, config, data)
         // triple; a stale or foreign checkpoint is silently ignored.
@@ -839,6 +779,7 @@ impl FailureModel for Dpmhbp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipefail_stats::dist::{Beta, ContinuousDist, Gamma};
     use pipefail_synth::WorldConfig;
 
     fn demo_region() -> Dataset {

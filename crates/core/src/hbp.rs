@@ -5,22 +5,18 @@
 //! band, or laid-year band), a beta process models each group's failure rate
 //! `q_k`, and pipe failure probabilities `π_i ~ Beta(c_k q_k, c_k (1−q_k))`
 //! shrink toward their group rate — sharing the sparse failure data within
-//! groups. Inference is Gibbs with slice-sampling for the non-conjugate
-//! `(q_k, c_k)` (Metropolis-within-Gibbs in the paper; our slice kernel is
-//! tuning-free and an RW-Metropolis kernel is available for the ablation
-//! benches).
+//! groups. Inference is Metropolis-within-Gibbs: each group's non-conjugate
+//! `(q_k, c_k)` are updated by [`GroupPrior::step`], the slice step DPMHBP's
+//! clusters use too.
 //!
 //! This model works at *pipe* level and ignores pipe length — exactly the
 //! two limitations (§18.3.3) the DPMHBP removes.
 
 use crate::checkpoint::{CheckpointSpec, Fingerprint, Reader, Writer};
 use crate::covariates::CovariateAdjuster;
-use crate::hier::PatternTable;
+use crate::hier::{GroupPrior, PatternTable};
 use crate::model::{FailureModel, RiskRanking, RiskScore};
 use crate::{CoreError, Result};
-use pipefail_mcmc::kernel::{KernelKind, UnivariateKernel};
-use pipefail_mcmc::rw::RandomWalkMetropolis;
-use pipefail_mcmc::transform::Transform;
 use pipefail_mcmc::{ChainHealth, HealthConfig, Schedule};
 use rand::rngs::StdRng;
 use pipefail_network::attributes::PipeClass;
@@ -28,7 +24,6 @@ use pipefail_network::dataset::Dataset;
 use pipefail_network::features::FeatureMask;
 use pipefail_network::ids::PipeId;
 use pipefail_network::split::TrainTestSplit;
-use pipefail_stats::dist::{Beta, ContinuousDist, Gamma};
 use pipefail_stats::rng::seeded_rng;
 
 /// How pipes are grouped (the domain-expert heuristics of §18.4.3).
@@ -79,9 +74,6 @@ pub struct HbpConfig {
     pub c_prior: (f64, f64),
     /// Multiplicative covariate adjustment; `None` disables it.
     pub covariates: Option<FeatureMask>,
-    /// Within-Gibbs kernel for the non-conjugate `(q_k, c_k)` updates:
-    /// slice sampling (default) or the paper's random-walk Metropolis.
-    pub kernel: KernelKind,
     /// Online chain-health thresholds (divergence budget, stuck detection,
     /// optional wall-clock budget).
     pub health: HealthConfig,
@@ -98,7 +90,6 @@ impl Default for HbpConfig {
             c0: 5.0,
             c_prior: (2.0, 0.05),
             covariates: Some(FeatureMask::water_mains()),
-            kernel: KernelKind::Slice,
             health: HealthConfig::default(),
             checkpoint: None,
         }
@@ -231,22 +222,10 @@ impl FailureModel for Hbp {
         let sparse: Vec<Vec<(usize, f64)>> =
             counts.iter().map(|c| crate::hier::sparse_counts(c)).collect();
 
-        // Empirical hyper mean.
-        let q0 = self.config.q0.unwrap_or_else(|| {
-            let total_s: f64 = (0..table.units()).map(|i| table.pattern(table.pattern_of(i)).s).sum();
-            let total_m: f64 = (0..table.units())
-                .map(|i| {
-                    let p = table.pattern(table.pattern_of(i));
-                    p.s + p.f
-                })
-                .sum();
-            ((total_s + 0.5) / (total_m + 1.0)).clamp(1e-6, 0.5)
-        });
+        let q0 = self.config.q0.unwrap_or_else(|| table.empirical_rate());
         let c0 = self.config.c0;
         let (ca, cb) = self.config.c_prior;
-        let q_prior = Beta::with_mean_concentration(q0, c0)
-            .map_err(|_| CoreError::BadConfig("invalid (q0, c0) hyper-prior"))?;
-        let c_prior = Gamma::new(ca, cb).map_err(|_| CoreError::BadConfig("invalid c prior"))?;
+        let prior = GroupPrior::new(q0, c0, self.config.c_prior)?;
 
         // Fingerprint ties any checkpoint to this exact (seed, config, data)
         // triple; a stale or foreign checkpoint is silently ignored.
@@ -260,7 +239,6 @@ impl FailureModel for Hbp {
                 .push_f64(c0)
                 .push_f64(ca)
                 .push_f64(cb)
-                .push_str(&format!("{:?}", self.config.kernel))
                 .push_str(&format!("{:?}", self.config.covariates))
                 .push_usize(table.units())
                 .push_usize(table.len())
@@ -277,18 +255,9 @@ impl FailureModel for Hbp {
             fp.finish()
         };
 
-        // State: per-group (q, c), with one kernel instance per coordinate
-        // so random-walk adaptation (if selected) is per-coordinate.
+        // State: per-group (q, c), starting at the prior means.
         let mut q = vec![q0; n_groups];
         let mut c = vec![ca / cb; n_groups];
-        let mut kernels_q: Vec<UnivariateKernel> = (0..n_groups)
-            .map(|_| UnivariateKernel::try_new(self.config.kernel, 1.0))
-            .collect::<std::result::Result<_, _>>()?;
-        let mut kernels_c: Vec<UnivariateKernel> = (0..n_groups)
-            .map(|_| UnivariateKernel::try_new(self.config.kernel, 0.7))
-            .collect::<std::result::Result<_, _>>()?;
-        let logit = Transform::Logit;
-        let log_t = Transform::Log;
 
         let mut rng = seeded_rng(seed);
         let mut pi_acc = vec![0.0; table.units()];
@@ -301,7 +270,6 @@ impl FailureModel for Hbp {
             if let Some(state) = restore_hbp_checkpoint(
                 &spec.path,
                 fingerprint,
-                self.config.kernel,
                 n_groups,
                 table.units(),
                 self.config.schedule.total_iterations(),
@@ -312,8 +280,6 @@ impl FailureModel for Hbp {
                 retained = state.retained;
                 pi_acc = state.pi_acc;
                 q_acc = state.q_acc;
-                kernels_q = state.kernels_q;
-                kernels_c = state.kernels_c;
                 start_it = state.next_iteration;
             }
         }
@@ -324,51 +290,10 @@ impl FailureModel for Hbp {
         for it in start_it..total {
             health.begin_sweep()?;
             for g in 0..n_groups {
-                // q_k | rest via slice on logit scale.
-                let sparse_g = &sparse[g];
-                let c_g = c[g];
-                let log_post_q = |y: f64| {
-                    let qv = logit.inverse(y);
-                    q_prior.ln_pdf(qv)
-                        + table.group_log_likelihood_sparse(sparse_g, qv, c_g)
-                        + logit.ln_jacobian(y)
-                };
-                let y = kernels_q[g].try_step(logit.forward(q[g]), &log_post_q, &mut rng)?;
-                q[g] = logit.inverse(y).clamp(1e-9, 1.0 - 1e-9);
-                // c_k | rest via slice on log scale.
-                let q_g = q[g];
-                let log_post_c = |y: f64| {
-                    let cv = log_t.inverse(y);
-                    if !(cv.is_finite() && cv > 0.0) {
-                        return f64::NEG_INFINITY;
-                    }
-                    c_prior.ln_pdf(cv)
-                        + table.group_log_likelihood_sparse(sparse_g, q_g, cv)
-                        + log_t.ln_jacobian(y)
-                };
-                let y = kernels_c[g].try_step(log_t.forward(c[g]), &log_post_c, &mut rng)?;
-                c[g] = log_t.inverse(y).clamp(1e-6, 1e9);
+                (q[g], c[g]) = prior.step(&table, &sparse[g], q[g], c[g], &mut rng)?;
             }
-            if it + 1 == sched.burn_in {
-                // End of burn-in: freeze random-walk adaptation so the
-                // retained samples come from an exactly Markovian kernel.
-                for k in kernels_q.iter_mut().chain(kernels_c.iter_mut()) {
-                    k.freeze();
-                }
-            }
-            // Online health: group-mean rate as the scalar monitor, plus the
-            // aggregate Metropolis acceptance when the RW kernel is in use.
+            // Online health: the group-mean rate is the scalar monitor.
             health.observe_monitor(q.iter().sum::<f64>() / n_groups as f64)?;
-            if self.config.kernel == KernelKind::RandomWalk {
-                let (mut acc, mut att) = (0u64, 0u64);
-                for k in kernels_q.iter().chain(kernels_c.iter()) {
-                    if let UnivariateKernel::RandomWalk(rw) = k {
-                        acc += rw.accepted();
-                        att += rw.steps();
-                    }
-                }
-                health.record_acceptance(acc, att)?;
-            }
             if sched.keep(it) {
                 retained += 1;
                 for (i, &g) in groups.iter().enumerate() {
@@ -390,8 +315,6 @@ impl FailureModel for Hbp {
                         retained,
                         &pi_acc,
                         &q_acc,
-                        &kernels_q,
-                        &kernels_c,
                     )?;
                 }
             }
@@ -432,81 +355,7 @@ struct HbpResumed {
     retained: usize,
     pi_acc: Vec<f64>,
     q_acc: Vec<f64>,
-    kernels_q: Vec<UnivariateKernel>,
-    kernels_c: Vec<UnivariateKernel>,
     next_iteration: usize,
-}
-
-/// Encode the adaptation state of a kernel bank into parallel columns.
-/// Slice kernels are stateless (width comes from config) so only the
-/// random-walk bank writes anything.
-fn put_kernel_bank(w: &mut Writer, prefix: &str, kernels: &[UnivariateKernel]) {
-    let mut ln_scale = Vec::new();
-    let mut target = Vec::new();
-    let mut adapting = Vec::new();
-    let mut steps = Vec::new();
-    let mut accepted = Vec::new();
-    let mut divergences = Vec::new();
-    for k in kernels {
-        if let UnivariateKernel::RandomWalk(rw) = k {
-            let (ls, t, a, s, acc, d) = rw.to_raw_state();
-            ln_scale.push(ls);
-            target.push(t);
-            adapting.push(a as usize);
-            steps.push(s);
-            accepted.push(acc);
-            divergences.push(d);
-        }
-    }
-    w.put_f64_slice(&format!("{prefix}_ln_scale"), &ln_scale);
-    w.put_f64_slice(&format!("{prefix}_target"), &target);
-    w.put_usize_slice(&format!("{prefix}_adapting"), &adapting);
-    w.put_u64_slice(&format!("{prefix}_steps"), &steps);
-    w.put_u64_slice(&format!("{prefix}_accepted"), &accepted);
-    w.put_u64_slice(&format!("{prefix}_divergences"), &divergences);
-}
-
-/// Decode a kernel bank written by [`put_kernel_bank`]. For the slice kind
-/// fresh kernels are rebuilt from `width`; for random walk every column must
-/// have exactly `n` entries.
-fn read_kernel_bank(
-    r: &Reader,
-    prefix: &str,
-    kind: KernelKind,
-    n: usize,
-    width: f64,
-) -> Option<Vec<UnivariateKernel>> {
-    match kind {
-        KernelKind::Slice => (0..n).map(|_| UnivariateKernel::try_new(kind, width).ok()).collect(),
-        KernelKind::RandomWalk => {
-            let ln_scale = r.f64_slice(&format!("{prefix}_ln_scale"))?;
-            let target = r.f64_slice(&format!("{prefix}_target"))?;
-            let adapting = r.usize_slice(&format!("{prefix}_adapting"))?;
-            let steps = r.u64_slice(&format!("{prefix}_steps"))?;
-            let accepted = r.u64_slice(&format!("{prefix}_accepted"))?;
-            let divergences = r.u64_slice(&format!("{prefix}_divergences"))?;
-            if [ln_scale.len(), target.len(), adapting.len(), steps.len(), accepted.len(), divergences.len()]
-                .iter()
-                .any(|&l| l != n)
-            {
-                return None;
-            }
-            Some(
-                (0..n)
-                    .map(|i| {
-                        UnivariateKernel::RandomWalk(RandomWalkMetropolis::from_raw_state((
-                            ln_scale[i],
-                            target[i],
-                            adapting[i] == 1,
-                            steps[i],
-                            accepted[i],
-                            divergences[i],
-                        )))
-                    })
-                    .collect(),
-            )
-        }
-    }
 }
 
 /// Serialize the complete HBP chain state after `next_iteration` sweeps.
@@ -521,8 +370,6 @@ fn save_hbp_checkpoint(
     retained: usize,
     pi_acc: &[f64],
     q_acc: &[f64],
-    kernels_q: &[UnivariateKernel],
-    kernels_c: &[UnivariateKernel],
 ) -> Result<()> {
     let mut w = Writer::new(fingerprint);
     w.put_usize("next_iteration", next_iteration);
@@ -532,8 +379,6 @@ fn save_hbp_checkpoint(
     w.put_usize("retained", retained);
     w.put_f64_slice("pi_acc", pi_acc);
     w.put_f64_slice("q_acc", q_acc);
-    put_kernel_bank(&mut w, "kq", kernels_q);
-    put_kernel_bank(&mut w, "kc", kernels_c);
     w.save(path)
 }
 
@@ -541,7 +386,6 @@ fn save_hbp_checkpoint(
 fn restore_hbp_checkpoint(
     path: &std::path::Path,
     fingerprint: u64,
-    kind: KernelKind,
     n_groups: usize,
     n_units: usize,
     total_iterations: usize,
@@ -577,8 +421,6 @@ fn restore_hbp_checkpoint(
         retained: r.usize("retained")?,
         pi_acc,
         q_acc,
-        kernels_q: read_kernel_bank(&r, "kq", kind, n_groups, 1.0)?,
-        kernels_c: read_kernel_bank(&r, "kc", kind, n_groups, 0.7)?,
         next_iteration,
     })
 }
@@ -668,36 +510,10 @@ mod tests {
     }
 
     #[test]
-    fn random_walk_kernel_agrees_with_slice() {
-        // The paper's Metropolis-within-Gibbs kernel must target the same
-        // posterior as our default slice kernel: rankings should correlate
-        // strongly.
-        use pipefail_mcmc::kernel::KernelKind;
-        let ds = demo_region();
-        let split = TrainTestSplit::paper_protocol();
-        let slice = Hbp::new(HbpConfig::fast()).fit_rank(&ds, &split, 55).unwrap();
-        let rw = Hbp::new(HbpConfig {
-            kernel: KernelKind::RandomWalk,
-            ..HbpConfig::fast()
-        })
-        .fit_rank(&ds, &split, 55)
-        .unwrap();
-        assert_eq!(slice.len(), rw.len());
-        let xs: Vec<f64> = slice.scores().iter().map(|s| s.score).collect();
-        let ys: Vec<f64> = slice
-            .scores()
-            .iter()
-            .map(|s| rw.score_of(s.pipe).expect("same pipe set"))
-            .collect();
-        let rho = pipefail_stats::descriptive::spearman(&xs, &ys).unwrap();
-        assert!(rho > 0.9, "kernel rankings diverge: spearman {rho}");
-    }
-
-    #[test]
     fn interrupted_fit_resumes_to_identical_ranking() {
-        // Same kill-and-resume protocol as the DPMHBP test, but with the
-        // random-walk kernel so the per-coordinate adaptation state
-        // (Robbins–Monro scale, step/accept counters) is exercised too.
+        // Same kill-and-resume protocol as the DPMHBP test: repeated fits
+        // under a tiny wall-clock budget leave checkpoints, and the final
+        // ranking must be bit-identical to an uninterrupted run.
         let ds = demo_region();
         let split = TrainTestSplit::paper_protocol();
         let dir = std::env::temp_dir().join("pipefail_hbp_ckpt_resume");
@@ -705,10 +521,7 @@ mod tests {
         let ckpt = dir.join("fit.ckpt");
         std::fs::remove_file(&ckpt).ok();
 
-        let base = HbpConfig {
-            kernel: KernelKind::RandomWalk,
-            ..HbpConfig::fast()
-        };
+        let base = HbpConfig::fast();
         let reference = Hbp::new(base.clone()).fit_rank(&ds, &split, 61).unwrap();
 
         let spec = CheckpointSpec::new(&ckpt, 25);

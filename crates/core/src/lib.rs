@@ -9,18 +9,21 @@
 //!
 //! The papers' contributions, implemented from scratch:
 //!
-//! * [`beta_process`] / [`bernoulli_process`] — the Beta–Bernoulli machinery
-//!   of §18.3.1: discrete beta processes, conjugate posterior updates
-//!   (Eq. 18.4), and the sparse binary failure matrices of Fig. 18.3;
-//! * [`crp`] — the Chinese restaurant process (Eq. 18.6), the constructive
-//!   Dirichlet-process prior used for flexible pipe grouping;
+//! * [`bernoulli_process`] — the sparse binary failure matrices of
+//!   §18.3.1.2 (Fig. 18.3);
+//! * [`hier`] — what the two hierarchical beta-process models share: the
+//!   deduplicated observation patterns, their marginal Beta–Bernoulli
+//!   likelihood, and [`hier::GroupPrior`], the prior on a group's `(q, c)`
+//!   with the one step that updates them;
+//! * [`crp`] — the Escobar–West update of the Dirichlet-process
+//!   concentration of the Chinese restaurant process (Eq. 18.6);
 //! * [`hbp`] — the hierarchical beta process with *fixed expert groupings*
 //!   (material / diameter / laid-year), the strongest prior-work baseline
 //!   [Li et al., Mach. Learn. 95(1)];
 //! * [`dpmhbp`] — the proposed Dirichlet-process mixture of hierarchical
 //!   beta processes (Eq. 18.7), fitted by Metropolis-within-Gibbs (Neal's
-//!   Algorithm 8 for assignments, slice sampling for group parameters,
-//!   Escobar–West for the DP concentration);
+//!   Algorithm 8 for assignments, the shared group step for group
+//!   parameters, Escobar–West for the DP concentration);
 //! * [`ranking`] — the rank-based data-mining method of the ICDE'13 paper
 //!   (Eq. 18.10): a linear scoring function optimised for AUC, via pairwise
 //!   hinge SGD and an evolution-strategy direct optimiser;
@@ -33,7 +36,6 @@
 //!   layer (`pipefail-serve`); spec in `docs/SNAPSHOT_FORMAT.md`.
 
 pub mod bernoulli_process;
-pub mod beta_process;
 pub mod checkpoint;
 pub mod covariates;
 pub mod crp;

@@ -132,9 +132,6 @@ pub struct HealthConfig {
     /// Sweeps per stuck-detection window. Each full window is tested and the
     /// window then restarts, so detection latency is at most `2 * window`.
     pub window: usize,
-    /// A chain whose cumulative Metropolis acceptance rate sits below this
-    /// floor (after a warm-up of attempts) is declared stuck.
-    pub min_acceptance: f64,
     /// A full window whose draw standard deviation falls below
     /// `min_draw_std * (1 + |window mean|)` is declared stuck.
     pub min_draw_std: f64,
@@ -147,7 +144,6 @@ impl Default for HealthConfig {
         Self {
             max_divergences: 25,
             window: 50,
-            min_acceptance: 0.01,
             min_draw_std: 1e-10,
             wall_clock_budget_secs: None,
         }
@@ -167,9 +163,7 @@ impl HealthConfig {
 /// A fit loop calls [`ChainHealth::begin_sweep`] at the top of every Gibbs
 /// sweep (wall-clock check) and [`ChainHealth::observe_monitor`] with one or
 /// more scalar monitors of the chain state (e.g. the size-weighted mean
-/// failure rate). Kernels with an accept/reject step additionally report
-/// cumulative acceptance via [`ChainHealth::record_acceptance`]. Any check
-/// that trips returns a typed [`McmcError`] the caller propagates; the retry
+/// failure rate). Any check that trips returns a typed [`McmcError`] the caller propagates; the retry
 /// policy upstream decides whether to restart with a fresh seed.
 #[derive(Debug)]
 pub struct ChainHealth {
@@ -246,27 +240,6 @@ impl ChainHealth {
                     ),
                 });
             }
-        }
-        Ok(())
-    }
-
-    /// Report *cumulative* Metropolis acceptance counts. Only meaningful for
-    /// kernels with an accept/reject step; a chain rejecting essentially every
-    /// proposal after a warm-up of attempts is declared stuck.
-    pub fn record_acceptance(&mut self, accepted: u64, attempted: u64) -> Result<(), McmcError> {
-        // Warm-up: adaptation needs some attempts before the rate means much.
-        if attempted < 200 {
-            return Ok(());
-        }
-        let rate = accepted as f64 / attempted as f64;
-        if rate < self.cfg.min_acceptance {
-            return Err(McmcError::ChainStuck {
-                sweep: self.sweep,
-                detail: format!(
-                    "acceptance rate {rate:.4} below floor {} after {attempted} attempts",
-                    self.cfg.min_acceptance
-                ),
-            });
         }
         Ok(())
     }
@@ -446,17 +419,7 @@ mod tests {
         for _ in 0..1_000 {
             h.begin_sweep().unwrap();
             h.observe_monitor(noise.sample(&mut rng)).unwrap();
-            h.record_acceptance(440, 1_000).unwrap();
         }
-    }
-
-    #[test]
-    fn health_flags_near_zero_acceptance() {
-        let mut h = ChainHealth::new(HealthConfig::default());
-        // Below warm-up: no verdict yet.
-        h.record_acceptance(0, 199).unwrap();
-        let err = h.record_acceptance(1, 10_000);
-        assert!(matches!(err, Err(McmcError::ChainStuck { .. })));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub enum McmcError {
         divergences: usize,
     },
     /// The chain stopped moving: a full monitoring window showed (near-)zero
-    /// draw variance or an acceptance rate below the configured floor.
+    /// draw variance.
     ChainStuck {
         /// Sweep index at which stickiness was declared.
         sweep: usize,
@@ -40,7 +40,7 @@ pub enum McmcError {
         /// The configured budget in seconds.
         budget_secs: f64,
     },
-    /// A kernel was configured with an invalid scale/width/rate.
+    /// A kernel was configured with an invalid width.
     BadKernelConfig(&'static str),
 }
 

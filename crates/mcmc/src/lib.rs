@@ -4,26 +4,24 @@
 
 //! # pipefail-mcmc
 //!
-//! A small, hand-written MCMC engine.
+//! A small, hand-written MCMC toolkit.
 //!
 //! The DPMHBP model (Dirichlet-process mixture of hierarchical beta
 //! processes) has no conjugate posterior for its group-level parameters, so
 //! the paper runs *Metropolis-within-Gibbs*: conjugate coordinates are drawn
 //! exactly, non-conjugate ones by a univariate kernel inside the Gibbs sweep.
-//! No mature Bayesian-inference crate exists for Rust in this environment, so
-//! this crate provides the needed kernels from scratch:
+//! The sweeps themselves live with the models in `pipefail-core`; this crate
+//! provides what they share:
 //!
-//! * [`rw::RandomWalkMetropolis`] — adaptive Gaussian random-walk Metropolis
-//!   on an unconstrained coordinate (Robbins–Monro scale adaptation toward a
-//!   target acceptance rate).
 //! * [`slice::SliceSampler`] — Neal's univariate slice sampler with
-//!   stepping-out and shrinkage; tuning-free, our default within-Gibbs kernel.
-//! * [`chain::Chain`] — sample storage with burn-in/thinning and summaries.
-//! * [`diagnostics`] — autocorrelation, effective sample size, split-R̂ and
-//!   Geweke score for convergence checking.
+//!   stepping-out and shrinkage; tuning-free, the one within-Gibbs kernel.
 //! * [`transform`] — bijections (logit/log) so constrained parameters
 //!   (probabilities, concentrations) can be sampled on ℝ with the correct
 //!   Jacobian.
+//! * [`Schedule`] — burn-in, retained sweeps and thinning.
+//! * [`diagnostics`] — autocorrelation, effective sample size, R̂ and the
+//!   Geweke score for convergence checking, plus [`ChainHealth`], the online
+//!   monitor the fit loops run every sweep.
 //!
 //! ## Example: sampling a Beta posterior by slice sampling
 //!
@@ -50,12 +48,8 @@
 //! assert!((mean - 10.0 / 14.0).abs() < 0.03);
 //! ```
 
-pub mod chain;
 pub mod diagnostics;
 pub mod error;
-pub mod gibbs;
-pub mod kernel;
-pub mod rw;
 pub mod slice;
 pub mod transform;
 

@@ -2,18 +2,21 @@
 //!
 //! The tuning-free workhorse for the non-conjugate coordinates of the HBP and
 //! DPMHBP posteriors (group failure rates `q_k`, concentrations `c_k`). Each
-//! call makes one transition that leaves the target invariant.
+//! call makes one transition. It leaves the target invariant unless the
+//! stepping-out cap binds: the cap is per side, where Neal (2003, §4) splits
+//! one budget at random between the two sides.
 
 use crate::error::McmcError;
 use rand::Rng;
+
+/// Stepping-out expansions allowed on each side of the initial bracket.
+const MAX_STEPS_PER_SIDE: usize = 64;
 
 /// Univariate slice sampler with stepping-out and shrinkage (Neal 2003).
 #[derive(Debug, Clone, Copy)]
 pub struct SliceSampler {
     /// Initial bracket width `w`.
     width: f64,
-    /// Maximum number of stepping-out expansions per side.
-    max_steps: usize,
 }
 
 impl SliceSampler {
@@ -38,16 +41,7 @@ impl SliceSampler {
                 "slice bracket width must be positive and finite",
             ));
         }
-        Ok(Self {
-            width,
-            max_steps: 64,
-        })
-    }
-
-    /// Limit the stepping-out expansions (mostly for heavy-tailed targets).
-    pub fn with_max_steps(mut self, m: usize) -> Self {
-        self.max_steps = m.max(1);
-        self
+        Ok(Self { width })
     }
 
     /// One slice-sampling transition from `x0` under log-density `log_f`.
@@ -92,8 +86,8 @@ impl SliceSampler {
         let u: f64 = rng.gen();
         let mut lo = x0 - self.width * u;
         let mut hi = lo + self.width;
-        let mut steps_lo = self.max_steps;
-        let mut steps_hi = self.max_steps;
+        let mut steps_lo = MAX_STEPS_PER_SIDE;
+        let mut steps_hi = MAX_STEPS_PER_SIDE;
         while steps_lo > 0 && log_f(lo) > ln_y {
             lo -= self.width;
             steps_lo -= 1;
@@ -119,18 +113,6 @@ impl SliceSampler {
                 return Ok(x0);
             }
         }
-    }
-
-    /// Run `n` transitions and return the final state (for burn-in loops).
-    pub fn run<R, F>(&self, mut x: f64, log_f: &F, n: usize, rng: &mut R) -> f64
-    where
-        R: Rng + ?Sized,
-        F: Fn(f64) -> f64,
-    {
-        for _ in 0..n {
-            x = self.step(x, log_f, rng);
-        }
-        x
     }
 }
 
