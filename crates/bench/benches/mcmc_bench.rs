@@ -1,5 +1,9 @@
-//! MCMC kernel throughput: a slice transition on the kind of posterior the
-//! pipe models sample, plus diagnostics cost.
+//! MCMC kernel throughput: a slice transition on two posteriors of the kind
+//! the pipe models sample, plus diagnostics cost. The first is a group rate
+//! with failures, peaked in logit q. The second is a failure-free group's,
+//! nearly flat in logit q for about 14 widths, from logit q ≈ −6 down to the
+//! support's lower end at logit 1e-9: the shape the doubling procedure is
+//! for.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pipefail_mcmc::diagnostics::{effective_sample_size, split_r_hat};
@@ -15,6 +19,21 @@ fn beta_like_log_post(q: f64) -> f64 {
     6.0 * q.ln() + 480.0 * (1.0 - q).ln()
 }
 
+/// Log-posterior in logit q of a failure-free group, 50 units with 11 clean
+/// years each, at c = 40 under the Beta(0.005, 4.995) prior (q₀ = 1e-3,
+/// c₀ = 5), truncated to q ≥ 1e-9. With no failures each unit's marginal is
+/// `Π_{j<11} (c(1−q) + j) / (c + j)`.
+fn failure_free_group_log_post(y: f64) -> f64 {
+    let q = 1.0 / (1.0 + (-y).exp());
+    if !(1e-9..=1.0 - 1e-9).contains(&q) {
+        return f64::NEG_INFINITY;
+    }
+    let (a, b, c) = (0.005, 4.995, 40.0);
+    let lik: f64 = (0..11).map(|j| ((c * (1.0 - q) + j as f64) / (c + j as f64)).ln()).sum();
+    // Prior density times the logit Jacobian q(1 − q).
+    a * q.ln() + b * (1.0 - q).ln() + 50.0 * lik
+}
+
 fn bench_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernels");
     let mut rng = seeded_rng(2);
@@ -26,6 +45,13 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("slice_step_logit_beta_posterior", |b| {
         b.iter(|| {
             y = slice.step(y, &wrapped, &mut rng);
+            black_box(y)
+        })
+    });
+    let mut y = logit.forward(1e-4);
+    g.bench_function("slice_step_logit_failure_free_group", |b| {
+        b.iter(|| {
+            y = slice.step(y, &failure_free_group_log_post, &mut rng);
             black_box(y)
         })
     });

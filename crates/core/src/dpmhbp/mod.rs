@@ -36,7 +36,7 @@ mod state;
 use crate::checkpoint::{CheckpointSpec, Fingerprint, Reader, Writer};
 use crate::covariates::CovariateAdjuster;
 use crate::crp::resample_alpha;
-use crate::hier::{sparse_counts, GroupPrior, PatternTable};
+use crate::hier::{in_group_support, sparse_counts, GroupPrior, PatternTable, GROUP_STEP_TAG};
 use crate::model::{FailureModel, RiskRanking, RiskScore};
 use crate::{CoreError, Result};
 use pipefail_mcmc::{ChainHealth, HealthConfig, Schedule};
@@ -422,10 +422,12 @@ impl Dpmhbp {
         // triple; a stale or foreign checkpoint is silently ignored.
         let fingerprint = {
             let mut fp = Fingerprint::new();
-            // The sampler tag names the assignment scheme: a checkpoint
-            // written by another scheme's chain must not resume this one.
+            // The sampler tags name the assignment scheme and the (q, c)
+            // step: a checkpoint written by another sampler's chain must not
+            // resume this one.
             fp.push_str("dpmhbp")
                 .push_str("algorithm8-reuse")
+                .push_str(GROUP_STEP_TAG)
                 .push_u64(seed);
             let s = &self.config.schedule;
             fp.push_usize(s.burn_in).push_usize(s.samples).push_usize(s.thin);
@@ -695,8 +697,7 @@ fn restore_checkpoint(
     let mut k = 0;
     for i in 0..n_slots {
         if live[i] == 1 {
-            if !(qs[i].is_finite() && qs[i] > 0.0 && qs[i] < 1.0 && cs[i].is_finite() && cs[i] > 0.0)
-            {
+            if !in_group_support(qs[i], cs[i]) {
                 return None;
             }
             let mut cl = Cluster {
@@ -976,6 +977,42 @@ mod tests {
         .fit_rank(&ds, &split, 43)
         .unwrap();
         assert_eq!(got, reference, "checkpoint from another seed must not be resumed");
+
+        // Matching fingerprint, but every cluster rate outside the support:
+        // the (q, c) step would fail on it, so the fit must start afresh.
+        std::fs::remove_file(&ckpt).ok();
+        for _ in 0..10 {
+            if ckpt.exists() {
+                break;
+            }
+            let _ = Dpmhbp::new(DpmhbpConfig {
+                checkpoint: Some(CheckpointSpec::new(&ckpt, 1)),
+                health: HealthConfig::default().with_budget_secs(0.002),
+                ..DpmhbpConfig::fast()
+            })
+            .fit_rank(&ds, &split, 43);
+        }
+        let text = std::fs::read_to_string(&ckpt).expect("an interrupted fit leaves a checkpoint");
+        let outside = format!("{:016x}", 1e-12f64.to_bits());
+        let edited: String = text
+            .lines()
+            .map(|line| match line.strip_prefix("slot_q=") {
+                Some(qs) => {
+                    let qs: Vec<&str> = qs.split(' ').map(|_| outside.as_str()).collect();
+                    format!("slot_q={}\n", qs.join(" "))
+                }
+                None => format!("{line}\n"),
+            })
+            .collect();
+        assert_ne!(edited, text);
+        std::fs::write(&ckpt, edited).unwrap();
+        let got = Dpmhbp::new(DpmhbpConfig {
+            checkpoint: Some(CheckpointSpec::new(&ckpt, 50)),
+            ..DpmhbpConfig::fast()
+        })
+        .fit_rank(&ds, &split, 43)
+        .unwrap();
+        assert_eq!(got, reference, "checkpoint with q outside the support must not be resumed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

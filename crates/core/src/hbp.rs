@@ -14,7 +14,7 @@
 
 use crate::checkpoint::{CheckpointSpec, Fingerprint, Reader, Writer};
 use crate::covariates::CovariateAdjuster;
-use crate::hier::{GroupPrior, PatternTable};
+use crate::hier::{in_group_support, GroupPrior, PatternTable, GROUP_STEP_TAG};
 use crate::model::{FailureModel, RiskRanking, RiskScore};
 use crate::{CoreError, Result};
 use pipefail_mcmc::{ChainHealth, HealthConfig, Schedule};
@@ -228,10 +228,11 @@ impl FailureModel for Hbp {
         let prior = GroupPrior::new(q0, c0, self.config.c_prior)?;
 
         // Fingerprint ties any checkpoint to this exact (seed, config, data)
-        // triple; a stale or foreign checkpoint is silently ignored.
+        // triple and to the (q, c) step's tag; a stale or foreign checkpoint
+        // is silently ignored.
         let fingerprint = {
             let mut fp = Fingerprint::new();
-            fp.push_str("hbp").push_u64(seed);
+            fp.push_str("hbp").push_str(GROUP_STEP_TAG).push_u64(seed);
             let s = &self.config.schedule;
             fp.push_usize(s.burn_in).push_usize(s.samples).push_usize(s.thin);
             fp.push_str(&self.config.grouping.label())
@@ -409,9 +410,7 @@ fn restore_hbp_checkpoint(
     if pi_acc.len() != n_units {
         return None;
     }
-    if q.iter().any(|v| !(v.is_finite() && *v > 0.0 && *v < 1.0))
-        || c.iter().any(|v| !(v.is_finite() && *v > 0.0))
-    {
+    if !q.iter().zip(&c).all(|(&q, &c)| in_group_support(q, c)) {
         return None;
     }
     Some(HbpResumed {

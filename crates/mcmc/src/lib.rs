@@ -14,7 +14,8 @@
 //! provides what they share:
 //!
 //! * [`slice::SliceSampler`] — Neal's univariate slice sampler with
-//!   stepping-out and shrinkage; tuning-free, the one within-Gibbs kernel.
+//!   doubling, shrinkage and the acceptance test that keeps capped doubling
+//!   exact; tuning-free, the one within-Gibbs kernel.
 //! * [`transform`] — bijections (logit/log) so constrained parameters
 //!   (probabilities, concentrations) can be sampled on ℝ with the correct
 //!   Jacobian.

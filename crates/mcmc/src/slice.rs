@@ -1,18 +1,24 @@
-//! Neal's univariate slice sampler (stepping-out and shrinkage).
+//! Neal's univariate slice sampler: the doubling procedure, shrinkage and
+//! the acceptance test (Neal 2003, *Ann. Statist.* 31(3), §4, Figs. 4–6).
 //!
 //! The tuning-free workhorse for the non-conjugate coordinates of the HBP and
 //! DPMHBP posteriors (group failure rates `q_k`, concentrations `c_k`). Each
-//! call makes one transition. It leaves the target invariant unless the
-//! stepping-out cap binds: the cap is per side, where Neal (2003, §4) splits
-//! one budget at random between the two sides.
+//! call makes one transition, and it leaves the target invariant. Doubling
+//! grows the initial bracket geometrically, so a slice far wider than the
+//! width costs a few evaluations, not one per width. The number of doublings
+//! is capped; the acceptance test keeps the capped procedure exact, because
+//! it accepts a point only if doubling from that point could have produced
+//! the same bracket.
 
 use crate::error::McmcError;
 use rand::Rng;
 
-/// Stepping-out expansions allowed on each side of the initial bracket.
-const MAX_STEPS_PER_SIDE: usize = 64;
+/// Doublings allowed per transition: the bracket grows to at most
+/// 2¹⁰ = 1024 widths.
+const MAX_DOUBLINGS: usize = 10;
 
-/// Univariate slice sampler with stepping-out and shrinkage (Neal 2003).
+/// Univariate slice sampler with doubling, shrinkage and the acceptance test
+/// (Neal 2003).
 #[derive(Debug, Clone, Copy)]
 pub struct SliceSampler {
     /// Initial bracket width `w`.
@@ -64,9 +70,10 @@ impl SliceSampler {
 
     /// Fallible slice transition: `Err(NonFiniteLogPosterior)` when `x0`
     /// itself has NaN, `+inf`, or zero posterior mass — a slice level cannot
-    /// be drawn from such a point. NaN log-densities at *candidate* points
+    /// be drawn from such a point. NaN log-densities at every other point
     /// are survivable: NaN compares false against the slice level, so the
-    /// candidate is treated as outside the slice and the bracket shrinks.
+    /// point counts as outside the slice, whether it is a bracket end, a
+    /// candidate or an end in the acceptance test.
     pub fn try_step<R, F>(&self, x0: f64, log_f: &F, rng: &mut R) -> Result<f64, McmcError>
     where
         R: Rng + ?Sized,
@@ -79,41 +86,96 @@ impl SliceSampler {
                 at: x0,
             });
         }
-        // Vertical level: ln u = ln f(x0) − Exp(1)
+        // Vertical level: ln u = ln f(x0) − Exp(1).
         let ln_y = lf0 - rand_exp(rng);
+        let inside = |lf: f64| lf > ln_y;
 
-        // Stepping out.
-        let u: f64 = rng.gen();
-        let mut lo = x0 - self.width * u;
+        // Doubling (Fig. 4): widen the bracket on a random side until both
+        // ends lie outside the slice or the cap binds.
+        let mut lo = x0 - self.width * rng.gen::<f64>();
         let mut hi = lo + self.width;
-        let mut steps_lo = MAX_STEPS_PER_SIDE;
-        let mut steps_hi = MAX_STEPS_PER_SIDE;
-        while steps_lo > 0 && log_f(lo) > ln_y {
-            lo -= self.width;
-            steps_lo -= 1;
+        let (mut f_lo, mut f_hi) = (log_f(lo), log_f(hi));
+        for _ in 0..MAX_DOUBLINGS {
+            if !(inside(f_lo) || inside(f_hi)) {
+                break;
+            }
+            let span = hi - lo;
+            if rng.gen::<f64>() < 0.5 {
+                lo -= span;
+                f_lo = log_f(lo);
+            } else {
+                hi += span;
+                f_hi = log_f(hi);
+            }
         }
-        while steps_hi > 0 && log_f(hi) > ln_y {
-            hi += self.width;
-            steps_hi -= 1;
-        }
+        let bracket = Bracket { lo, hi, f_lo, f_hi };
 
-        // Shrinkage.
+        // Shrinkage (Fig. 5), accepting a candidate in the slice only if it
+        // passes the acceptance test.
+        let (mut s_lo, mut s_hi) = (lo, hi);
         loop {
-            let x1 = lo + (hi - lo) * rng.gen::<f64>();
-            if log_f(x1) > ln_y {
+            let x1 = s_lo + (s_hi - s_lo) * rng.gen::<f64>();
+            if inside(log_f(x1)) && self.acceptable(&bracket, x0, x1, &inside, log_f) {
                 return Ok(x1);
             }
             if x1 < x0 {
-                lo = x1;
+                s_lo = x1;
             } else {
-                hi = x1;
+                s_hi = x1;
             }
-            if (hi - lo) < f64::EPSILON * (1.0 + x0.abs()) {
+            if (s_hi - s_lo) < f64::EPSILON * (1.0 + x0.abs()) {
                 // Numerical corner: the bracket collapsed onto x0.
                 return Ok(x0);
             }
         }
     }
+
+    /// Neal's acceptance test (Fig. 6): could doubling from `x1` have
+    /// produced `bracket`? Halve the bracket towards `x1`. Once the halves
+    /// holding `x0` and `x1` differ, reject if neither end of the current
+    /// half lies in the slice. An end is evaluated only after the paths
+    /// split, and the doubled bracket's own end values are reused.
+    fn acceptable<F>(
+        &self,
+        bracket: &Bracket,
+        x0: f64,
+        x1: f64,
+        inside: &impl Fn(f64) -> bool,
+        log_f: &F,
+    ) -> bool
+    where
+        F: Fn(f64) -> f64,
+    {
+        let (mut lo, mut hi) = (bracket.lo, bracket.hi);
+        let (mut f_lo, mut f_hi) = (Some(bracket.f_lo), Some(bracket.f_hi));
+        let mut split = false;
+        while hi - lo > 1.1 * self.width {
+            let mid = 0.5 * (lo + hi);
+            split |= (x0 < mid) != (x1 < mid);
+            if x1 < mid {
+                hi = mid;
+                f_hi = None;
+            } else {
+                lo = mid;
+                f_lo = None;
+            }
+            if split
+                && !inside(*f_lo.get_or_insert_with(|| log_f(lo)))
+                && !inside(*f_hi.get_or_insert_with(|| log_f(hi)))
+            {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The doubled bracket and the log-density at its ends.
+struct Bracket {
+    lo: f64,
+    hi: f64,
+    f_lo: f64,
+    f_hi: f64,
 }
 
 /// Standard exponential variate.
@@ -124,6 +186,7 @@ fn rand_exp<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnostics::effective_sample_size;
     use pipefail_stats::descriptive::{mean, variance};
     use pipefail_stats::rng::seeded_rng;
 
@@ -147,6 +210,17 @@ mod tests {
             out.push(x);
         }
         out
+    }
+
+    /// Assert that the mean of `xs` lies within 4 Monte Carlo standard
+    /// errors of `exact`, with the error sized by the chain's ESS.
+    fn assert_mean_within_mc_error(xs: &[f64], exact: f64) {
+        let m = mean(xs).unwrap();
+        let mcse = (variance(xs).unwrap() / effective_sample_size(xs)).sqrt();
+        assert!(
+            (m - exact).abs() <= 4.0 * mcse,
+            "mean {m:.4} vs exact {exact:.4} (Monte Carlo error {mcse:.4})"
+        );
     }
 
     #[test]
@@ -174,15 +248,43 @@ mod tests {
 
     #[test]
     fn badly_tuned_width_still_correct() {
-        // Width 100x too large and 10x too small both stay correct (the
-        // stepping-out cap bounds how far a too-small width can expand, so
-        // widths orders of magnitude below the posterior scale mix too
-        // slowly to test this way).
-        for &(w, seed) in &[(100.0, 33u64), (0.1, 34u64)] {
+        // Widths 100x too large and 10x and 100x too small all stay correct.
+        for &(w, seed) in &[(100.0, 33u64), (0.1, 34u64), (0.01, 38u64)] {
             let xs = collect(|x: f64| -0.5 * x * x, 0.3, w, 30_000, seed);
             assert!(mean(&xs).unwrap().abs() < 0.1, "width {w}");
             assert!((variance(&xs).unwrap() - 1.0).abs() < 0.2, "width {w}");
         }
+    }
+
+    #[test]
+    fn wide_one_sided_target_is_exact() {
+        // log f = 0.01·x on x ≤ 0: an exponential of mean −100 and sd 100,
+        // whose slices run to the support's edge and reach hundreds of
+        // widths to the left. A bracket whose growth is capped per side,
+        // with no acceptance test, reads a mean near −83 here.
+        let log_f = |x: f64| if x <= 0.0 { 0.01 * x } else { f64::NEG_INFINITY };
+        assert_mean_within_mc_error(&collect(log_f, -100.0, 1.0, 400_000, 39), -100.0);
+    }
+
+    #[test]
+    fn gapped_target_is_exact() {
+        // Uniform on [0, 1] ∪ [1.5, 4]: every slice is the two pieces, and
+        // the left one holds 2/7 of the mass. A doubled bracket can reach a
+        // piece from which doubling would have stopped short of x0; the
+        // acceptance test rejects such candidates. Without it the chain
+        // reads about 0.316 here.
+        let log_f = |x: f64| {
+            if (0.0..=1.0).contains(&x) || (1.5..=4.0).contains(&x) {
+                0.0
+            } else {
+                f64::NEG_INFINITY
+            }
+        };
+        let left: Vec<f64> = collect(log_f, 0.5, 1.0, 200_000, 40)
+            .iter()
+            .map(|&x| if x <= 1.0 { 1.0 } else { 0.0 })
+            .collect();
+        assert_mean_within_mc_error(&left, 2.0 / 7.0);
     }
 
     #[test]
