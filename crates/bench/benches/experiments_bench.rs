@@ -56,8 +56,7 @@ fn bench_tables(c: &mut Criterion) {
     // Table 18.3 — the five-model comparison (fast schedules).
     g.bench_function("table18_3_five_models", |b| {
         b.iter(|| {
-            let r = evaluate_region(&ds, &split, &ModelKind::paper_five(), RunConfig::fast(), 1)
-                .unwrap();
+            let r = evaluate_region(&ds, &split, &ModelKind::paper_five(), RunConfig::fast(), 1);
             black_box(format_auc_table(std::slice::from_ref(&r)))
         })
     });
@@ -123,8 +122,7 @@ fn bench_figures(c: &mut Criterion) {
             &[ModelKind::Dpmhbp, ModelKind::Cox],
             RunConfig::fast(),
             1,
-        )
-        .unwrap();
+        );
         b.iter(|| black_box(detection_curves_csv(black_box(&r), 100)))
     });
 
@@ -156,16 +154,13 @@ fn bench_parallel(c: &mut Criterion) {
     for threads in [1usize, 4] {
         g.bench_function(format!("five_models/threads={threads}"), |b| {
             b.iter(|| {
-                black_box(
-                    evaluate_region(
-                        &ds,
-                        &split,
-                        &ModelKind::paper_five(),
-                        RunConfig::fast().with_threads(threads),
-                        1,
-                    )
-                    .unwrap(),
-                )
+                black_box(evaluate_region(
+                    &ds,
+                    &split,
+                    &ModelKind::paper_five(),
+                    RunConfig::fast().with_threads(threads),
+                    1,
+                ))
             })
         });
     }

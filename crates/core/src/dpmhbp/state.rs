@@ -82,12 +82,6 @@ impl ClusterSlots {
         self.occupied
     }
 
-    /// True when no cluster is live.
-    #[allow(dead_code)] // used by unit tests and kept for API symmetry
-    pub fn is_empty(&self) -> bool {
-        self.occupied == 0
-    }
-
     /// Insert a cluster, returning its slot id.
     pub fn insert(&mut self, cluster: Cluster) -> usize {
         self.occupied += 1;
@@ -134,29 +128,6 @@ impl ClusterSlots {
             .filter_map(|(i, c)| c.as_ref().map(|_| i))
             .collect()
     }
-
-    /// Cluster sizes of live clusters (for diagnostics).
-    #[allow(dead_code)] // used by unit tests and kept for API symmetry
-    pub fn sizes(&self) -> Vec<usize> {
-        self.iter().map(|(_, c)| c.n).collect()
-    }
-
-    /// Raw arena view for checkpointing: `(slots, free_list)`. The free-list
-    /// *order* matters — slot reuse order affects which slot ids future
-    /// clusters get, and resume must replay it exactly.
-    pub fn raw_parts(&self) -> (&[Option<Cluster>], &[usize]) {
-        (&self.slots, &self.free)
-    }
-
-    /// Rebuild an arena from checkpointed raw parts.
-    pub fn from_raw_parts(slots: Vec<Option<Cluster>>, free: Vec<usize>) -> Self {
-        let occupied = slots.iter().filter(|s| s.is_some()).count();
-        Self {
-            slots,
-            free,
-            occupied,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -200,6 +171,5 @@ mod tests {
         slots.insert(Cluster::new(0.2, 5.0, &t));
         slots.remove(a);
         assert_eq!(slots.iter().count(), 1);
-        assert_eq!(slots.sizes().len(), 1);
     }
 }

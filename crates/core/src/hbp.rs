@@ -12,13 +12,11 @@
 //! This model works at *pipe* level and ignores pipe length — exactly the
 //! two limitations (§18.3.3) the DPMHBP removes.
 
-use crate::checkpoint::{CheckpointSpec, Fingerprint, Reader, Writer};
 use crate::covariates::CovariateAdjuster;
-use crate::hier::{in_group_support, GroupPrior, PatternTable, GROUP_STEP_TAG};
+use crate::hier::{GroupPrior, PatternTable};
 use crate::model::{FailureModel, RiskRanking, RiskScore};
 use crate::{CoreError, Result};
-use pipefail_mcmc::{ChainHealth, HealthConfig, Schedule};
-use rand::rngs::StdRng;
+use pipefail_mcmc::{ChainHealth, Schedule};
 use pipefail_network::attributes::PipeClass;
 use pipefail_network::dataset::Dataset;
 use pipefail_network::features::FeatureMask;
@@ -74,11 +72,9 @@ pub struct HbpConfig {
     pub c_prior: (f64, f64),
     /// Multiplicative covariate adjustment; `None` disables it.
     pub covariates: Option<FeatureMask>,
-    /// Online chain-health thresholds (divergence budget, stuck detection,
-    /// optional wall-clock budget).
-    pub health: HealthConfig,
-    /// Periodic sampler-state checkpointing; `None` disables it.
-    pub checkpoint: Option<CheckpointSpec>,
+    /// Wall-clock budget of the whole fit in seconds, enforced by the
+    /// online [`ChainHealth`] monitor; `None` = unbounded.
+    pub budget_secs: Option<f64>,
 }
 
 impl Default for HbpConfig {
@@ -90,8 +86,7 @@ impl Default for HbpConfig {
             c0: 5.0,
             c_prior: (2.0, 0.05),
             covariates: Some(FeatureMask::water_mains()),
-            health: HealthConfig::default(),
-            checkpoint: None,
+            budget_secs: None,
         }
     }
 }
@@ -223,38 +218,8 @@ impl FailureModel for Hbp {
             counts.iter().map(|c| crate::hier::sparse_counts(c)).collect();
 
         let q0 = self.config.q0.unwrap_or_else(|| table.empirical_rate());
-        let c0 = self.config.c0;
         let (ca, cb) = self.config.c_prior;
-        let prior = GroupPrior::new(q0, c0, self.config.c_prior)?;
-
-        // Fingerprint ties any checkpoint to this exact (seed, config, data)
-        // triple and to the (q, c) step's tag; a stale or foreign checkpoint
-        // is silently ignored.
-        let fingerprint = {
-            let mut fp = Fingerprint::new();
-            fp.push_str("hbp").push_str(GROUP_STEP_TAG).push_u64(seed);
-            let s = &self.config.schedule;
-            fp.push_usize(s.burn_in).push_usize(s.samples).push_usize(s.thin);
-            fp.push_str(&self.config.grouping.label())
-                .push_f64(q0)
-                .push_f64(c0)
-                .push_f64(ca)
-                .push_f64(cb)
-                .push_str(&format!("{:?}", self.config.covariates))
-                .push_usize(table.units())
-                .push_usize(table.len())
-                .push_usize(n_groups);
-            for p in table.patterns() {
-                fp.push_f64(p.s).push_f64(p.f);
-            }
-            for u in 0..table.units() {
-                fp.push_usize(table.pattern_of(u));
-            }
-            for (&g, &m) in groups.iter().zip(&multipliers) {
-                fp.push_usize(g).push_f64(m);
-            }
-            fp.finish()
-        };
+        let prior = GroupPrior::new(q0, self.config.c0, self.config.c_prior)?;
 
         // State: per-group (q, c), starting at the prior means.
         let mut q = vec![q0; n_groups];
@@ -264,31 +229,10 @@ impl FailureModel for Hbp {
         let mut pi_acc = vec![0.0; table.units()];
         let mut retained = 0usize;
         let mut q_acc = vec![0.0; n_groups];
-        let mut start_it = 0usize;
 
-        // Resume a matching checkpoint if one is on disk.
-        if let Some(spec) = &self.config.checkpoint {
-            if let Some(state) = restore_hbp_checkpoint(
-                &spec.path,
-                fingerprint,
-                n_groups,
-                table.units(),
-                self.config.schedule.total_iterations(),
-            ) {
-                rng = state.rng;
-                q = state.q;
-                c = state.c;
-                retained = state.retained;
-                pi_acc = state.pi_acc;
-                q_acc = state.q_acc;
-                start_it = state.next_iteration;
-            }
-        }
-
-        let mut health = ChainHealth::new(self.config.health);
+        let mut health = ChainHealth::new(self.config.budget_secs);
         let sched = self.config.schedule;
-        let total = sched.total_iterations();
-        for it in start_it..total {
+        for it in 0..sched.total_iterations() {
             health.begin_sweep()?;
             for g in 0..n_groups {
                 (q[g], c[g]) = prior.step(&table, &sparse[g], q[g], c[g], &mut rng)?;
@@ -304,28 +248,9 @@ impl FailureModel for Hbp {
                     q_acc[g] += q[g];
                 }
             }
-            if let Some(spec) = &self.config.checkpoint {
-                if (it + 1).is_multiple_of(spec.every.max(1)) && it + 1 < total {
-                    save_hbp_checkpoint(
-                        &spec.path,
-                        fingerprint,
-                        it + 1,
-                        &rng,
-                        &q,
-                        &c,
-                        retained,
-                        &pi_acc,
-                        &q_acc,
-                    )?;
-                }
-            }
         }
         if retained == 0 {
             return Err(CoreError::BadConfig("schedule retained zero samples"));
-        }
-        // The chain finished: a leftover checkpoint would be stale, so drop it.
-        if let Some(spec) = &self.config.checkpoint {
-            let _ = std::fs::remove_file(&spec.path);
         }
         self.last_group_rates = q_acc.iter().map(|v| v / retained as f64).collect();
 
@@ -346,82 +271,6 @@ impl FailureModel for Hbp {
             .collect();
         RiskRanking::try_new(scores)
     }
-}
-
-/// Chain state reconstructed from an HBP checkpoint file.
-struct HbpResumed {
-    rng: StdRng,
-    q: Vec<f64>,
-    c: Vec<f64>,
-    retained: usize,
-    pi_acc: Vec<f64>,
-    q_acc: Vec<f64>,
-    next_iteration: usize,
-}
-
-/// Serialize the complete HBP chain state after `next_iteration` sweeps.
-#[allow(clippy::too_many_arguments)] // flat state snapshot, called from one place
-fn save_hbp_checkpoint(
-    path: &std::path::Path,
-    fingerprint: u64,
-    next_iteration: usize,
-    rng: &StdRng,
-    q: &[f64],
-    c: &[f64],
-    retained: usize,
-    pi_acc: &[f64],
-    q_acc: &[f64],
-) -> Result<()> {
-    let mut w = Writer::new(fingerprint);
-    w.put_usize("next_iteration", next_iteration);
-    w.put_u64_slice("rng", &rng.to_raw_state());
-    w.put_f64_slice("q", q);
-    w.put_f64_slice("c", c);
-    w.put_usize("retained", retained);
-    w.put_f64_slice("pi_acc", pi_acc);
-    w.put_f64_slice("q_acc", q_acc);
-    w.save(path)
-}
-
-/// Rebuild HBP chain state from `path`; `None` means "fit from scratch".
-fn restore_hbp_checkpoint(
-    path: &std::path::Path,
-    fingerprint: u64,
-    n_groups: usize,
-    n_units: usize,
-    total_iterations: usize,
-) -> Option<HbpResumed> {
-    let r = Reader::load(path, fingerprint)?;
-    let next_iteration = r.usize("next_iteration")?;
-    if next_iteration == 0 || next_iteration > total_iterations {
-        return None;
-    }
-    let raw: [u64; 4] = r.u64_slice("rng")?.try_into().ok()?;
-    if raw == [0u64; 4] {
-        return None;
-    }
-    let q = r.f64_slice("q")?;
-    let c = r.f64_slice("c")?;
-    let pi_acc = r.f64_slice("pi_acc")?;
-    let q_acc = r.f64_slice("q_acc")?;
-    if q.len() != n_groups || c.len() != n_groups || q_acc.len() != n_groups {
-        return None;
-    }
-    if pi_acc.len() != n_units {
-        return None;
-    }
-    if !q.iter().zip(&c).all(|(&q, &c)| in_group_support(q, c)) {
-        return None;
-    }
-    Some(HbpResumed {
-        rng: StdRng::from_raw_state(raw),
-        q,
-        c,
-        retained: r.usize("retained")?,
-        pi_acc,
-        q_acc,
-        next_iteration,
-    })
 }
 
 #[cfg(test)]
@@ -506,46 +355,6 @@ mod tests {
         let a = Hbp::new(HbpConfig::fast()).fit_rank(&ds, &split, 77).unwrap();
         let b = Hbp::new(HbpConfig::fast()).fit_rank(&ds, &split, 77).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn interrupted_fit_resumes_to_identical_ranking() {
-        // Same kill-and-resume protocol as the DPMHBP test: repeated fits
-        // under a tiny wall-clock budget leave checkpoints, and the final
-        // ranking must be bit-identical to an uninterrupted run.
-        let ds = demo_region();
-        let split = TrainTestSplit::paper_protocol();
-        let dir = std::env::temp_dir().join("pipefail_hbp_ckpt_resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join("fit.ckpt");
-        std::fs::remove_file(&ckpt).ok();
-
-        let base = HbpConfig::fast();
-        let reference = Hbp::new(base.clone()).fit_rank(&ds, &split, 61).unwrap();
-
-        let spec = CheckpointSpec::new(&ckpt, 25);
-        let mut timeouts = 0usize;
-        for _ in 0..300 {
-            let mut m = Hbp::new(HbpConfig {
-                checkpoint: Some(spec.clone()),
-                health: HealthConfig::default().with_budget_secs(0.03),
-                ..base.clone()
-            });
-            match m.fit_rank(&ds, &split, 61) {
-                Err(CoreError::Chain(pipefail_mcmc::McmcError::Timeout { .. })) => timeouts += 1,
-                Ok(_) => break,
-                Err(e) => panic!("unexpected failure: {e}"),
-            }
-        }
-        let resumed = Hbp::new(HbpConfig {
-            checkpoint: Some(spec),
-            ..base
-        })
-        .fit_rank(&ds, &split, 61)
-        .unwrap();
-        assert_eq!(resumed, reference, "resume after {timeouts} interruptions diverged");
-        assert!(!ckpt.exists(), "checkpoint must be removed after completion");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

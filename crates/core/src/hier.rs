@@ -221,11 +221,6 @@ const Q_SUPPORT: (f64, f64) = (1e-9, 1.0 - 1e-9);
 /// Lower and upper bounds of a group concentration `c`.
 const C_SUPPORT: (f64, f64) = (1e-6, 1e9);
 
-/// Name of the `(q, c)` step, which both fitters push into their checkpoint
-/// fingerprints: a checkpoint written by a chain that ran another step must
-/// not resume this one.
-pub const GROUP_STEP_TAG: &str = "qc-slice-doubling-truncated-prior";
-
 /// True when `(q, c)` lies in the declared support of [`GroupPrior`],
 /// `q ∈ [1e-9, 1 − 1e-9]` and `c ∈ [1e-6, 1e9]`; false for NaN.
 pub fn in_group_support(q: f64, c: f64) -> bool {

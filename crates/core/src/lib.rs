@@ -36,7 +36,6 @@
 //!   layer (`pipefail-serve`); spec in `docs/SNAPSHOT_FORMAT.md`.
 
 pub mod bernoulli_process;
-pub mod checkpoint;
 pub mod covariates;
 pub mod crp;
 pub mod dpmhbp;
@@ -71,7 +70,7 @@ pub enum CoreError {
     Chain(McmcError),
     /// A network-dataset error (CSV I/O, referential integrity).
     Network(NetworkError),
-    /// An I/O error outside the dataset layer (checkpoints, artefacts).
+    /// An I/O error outside the dataset layer (snapshot files, artefacts).
     Io(String),
 }
 

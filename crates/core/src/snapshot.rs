@@ -9,21 +9,19 @@
 //! byte by byte in `docs/SNAPSHOT_FORMAT.md`; this module is the reference
 //! implementation of that spec.
 //!
-//! Design points, shared with the sibling [`checkpoint`] codec:
+//! Design points:
 //!
 //! * **Lossless floats.** Scores and summary values round-trip through
 //!   `f64::to_bits`, so a served ranking is *byte-identical* to the
 //!   in-process ranking that produced it.
 //! * **Integrity first.** A magic string, a format version, and an FNV-1a
-//!   checksum over the payload (the same [`checkpoint::Fingerprint`]
-//!   hasher) guard the header; loading is *strict* — unlike the forgiving
-//!   checkpoint reader, any truncation, bit flip, unsorted ranking, or
-//!   trailing garbage is a typed [`SnapshotError`], never a silent
-//!   best-effort load, because a serving process must refuse to serve a
-//!   corrupt model.
-//! * **Atomic writes.** Files are written via
-//!   [`checkpoint::atomic_write`], so a crash mid-export never leaves a
-//!   half-written snapshot where a server might pick it up.
+//!   checksum over the payload guard the header; loading is *strict*: any
+//!   truncation, bit flip, unsorted ranking, or trailing garbage is a typed
+//!   [`SnapshotError`], never a silent best-effort load, because a serving
+//!   process must refuse to serve a corrupt model.
+//! * **Atomic writes.** Files are written to a `.tmp` sibling and renamed
+//!   into place, so a crash mid-export never leaves a half-written snapshot
+//!   where a server might pick it up.
 //!
 //! # Examples
 //!
@@ -46,7 +44,6 @@
 //! assert_eq!(back.ranking().pipes_in_order().next(), Some(PipeId(3)));
 //! ```
 
-use crate::checkpoint::{self, Fingerprint};
 use crate::model::{FailureModel, RiskRanking, RiskScore};
 use crate::Result;
 use pipefail_network::ids::PipeId;
@@ -483,15 +480,14 @@ impl Snapshot {
         })
     }
 
-    /// Write atomically to `path` (via [`checkpoint::atomic_write`]) in
-    /// the v2 format the server maps.
+    /// Write atomically to `path` in the v2 format the server maps.
     pub fn save(&self, path: &Path) -> Result<()> {
-        checkpoint::atomic_write(path, &self.to_bytes_v2())
+        atomic_write(path, &self.to_bytes_v2())
     }
 
     /// Write atomically in the requested format.
     pub fn save_as(&self, path: &Path, format: SnapshotFormat) -> Result<()> {
-        checkpoint::atomic_write(path, &self.to_bytes_as(format))
+        atomic_write(path, &self.to_bytes_as(format))
     }
 
     /// Load and validate a snapshot file.
@@ -501,11 +497,32 @@ impl Snapshot {
     }
 }
 
-/// FNV-1a over raw bytes, via the checkpoint fingerprint hasher.
+/// FNV-1a 64 over raw bytes, one byte per step: the v1 payload checksum.
 fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.push_bytes(bytes);
-    fp.finish()
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Crash-safe file write: create the parent directory, write `bytes` to a
+/// `.tmp` sibling, then rename into place so a crash mid-write never
+/// corrupts an existing file.
+fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    let file_name = path
+        .file_name()
+        .ok_or(crate::CoreError::BadConfig(
+            "atomic_write needs a file path",
+        ))?
+        .to_string_lossy();
+    let tmp = path.with_file_name(format!("{file_name}.tmp"));
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -1782,5 +1799,83 @@ mod tests {
         assert_eq!(snap.len(), 4);
         assert!(!snap.is_empty());
         assert!(Snapshot::new("m", "r", 0, &RiskRanking::new(vec![])).is_empty());
+    }
+
+    #[test]
+    fn v1_checksum_matches_the_published_fnv1a_vectors() {
+        assert_eq!(fnv_bytes(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv_bytes(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    /// The snapshot behind [`GOLDEN_V1`] and [`GOLDEN_V2`]: a plain section
+    /// and the attributes section, which v2 stores as columns.
+    fn golden_snapshot() -> Snapshot {
+        let ranking = RiskRanking::new(vec![
+            RiskScore { pipe: PipeId(7), score: 0.5 },
+            RiskScore { pipe: PipeId(2), score: 0.125 },
+        ]);
+        let mut snap = Snapshot::new("HBP", "Region B", 11, &ranking);
+        snap.push_section(SummarySection::new("clusters").with_scalar("mean_count", 2.5));
+        snap.push_section(attributes_section(
+            vec![40.0, 12.5],
+            vec![1.0, 3.0],
+            vec![1961.0, 1990.0],
+        ));
+        snap
+    }
+
+    /// [`golden_snapshot`] in the v1 format, as hex.
+    const GOLDEN_V1: &str = "\
+        5046534e415001006f84b64e3290323cdd000000000000000300000048425008\
+        000000526567696f6e20420b0000000000000002000000070000000000000000\
+        00e03f02000000000000000000c03f0200000008000000636c75737465727301\
+        0000000a0000006d65616e5f636f756e740100000000000000000004400f0000\
+        00706970655f6174747269627574657303000000080000006c656e6774685f6d\
+        0200000000000000000044400000000000002940080000006d6174657269616c\
+        02000000000000000000f03f0000000000000840090000006c6169645f796561\
+        72020000000000000000a49e400000000000189f40";
+
+    /// [`golden_snapshot`] in the v2 format, as hex.
+    const GOLDEN_V2: &str = "\
+        5046534e41500200edd29f13db9d180ef8010000000000000b00000000000000\
+        02000000000000000a0000000000000001000000000000000100000000000000\
+        6001000000000000030000000000000003000000000000000200000000000000\
+        6801000000000000080000000000000008000000000000000300000000000000\
+        7001000000000000020000000000000008000000000000000400000000000000\
+        7801000000000000020000000000000010000000000000000500000000000000\
+        8801000000000000020000000000000008000000000000000600000000000000\
+        9001000000000000020000000000000008000000000000000700000000000000\
+        9801000000000000020000000000000010000000000000000800000000000000\
+        a801000000000000020000000000000010000000000000000900000000000000\
+        b801000000000000020000000000000010000000000000000a00000000000000\
+        c8010000000000002e000000000000002e000000000000004842500000000000\
+        526567696f6e20420700000002000000000000000000e03f000000000000c03f\
+        0200000007000000010000000000000000000000000044400000000000002940\
+        000000000000f03f00000000000008400000000000a49e400000000000189f40\
+        0100000008000000636c757374657273010000000a0000006d65616e5f636f75\
+        6e740100000000000000000004400000";
+
+    #[test]
+    fn both_formats_match_the_committed_bytes() {
+        // Every other codec test round-trips through this build's own
+        // encoder and checksums, so a wrong constant would go unseen there
+        // while files written by earlier builds stopped loading.
+        let snap = golden_snapshot();
+        for (format, hex) in [
+            (SnapshotFormat::V1, GOLDEN_V1),
+            (SnapshotFormat::V2, GOLDEN_V2),
+        ] {
+            let golden: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+                .collect();
+            assert_eq!(
+                Snapshot::from_bytes(&golden),
+                Ok(snap.clone()),
+                "{format} decode"
+            );
+            assert_eq!(snap.to_bytes_as(format), golden, "{format} encode");
+        }
     }
 }

@@ -10,7 +10,6 @@ use pipefail_core::dpmhbp::{Dpmhbp, DpmhbpConfig};
 use pipefail_core::hbp::{GroupingScheme, Hbp, HbpConfig};
 use pipefail_core::model::{FailureModel, RiskRanking};
 use pipefail_core::ranking::{RankSvm, RankSvmConfig};
-use pipefail_core::{CoreError, Result};
 use pipefail_network::attributes::PipeClass;
 use pipefail_network::dataset::Dataset;
 use pipefail_network::split::TrainTestSplit;
@@ -85,19 +84,16 @@ impl ModelKind {
     pub fn build_with_budget(&self, fast: bool, budget_secs: Option<f64>) -> Box<dyn FailureModel> {
         match self {
             ModelKind::Dpmhbp => {
-                let mut cfg = if fast { DpmhbpConfig::fast() } else { DpmhbpConfig::default() };
-                if let Some(b) = budget_secs {
-                    cfg.health = cfg.health.with_budget_secs(b);
-                }
-                Box::new(Dpmhbp::new(cfg))
+                let cfg = if fast { DpmhbpConfig::fast() } else { DpmhbpConfig::default() };
+                Box::new(Dpmhbp::new(DpmhbpConfig { budget_secs, ..cfg }))
             }
             ModelKind::Hbp(g) => {
-                let mut cfg = if fast { HbpConfig::fast() } else { HbpConfig::default() };
-                cfg.grouping = *g;
-                if let Some(b) = budget_secs {
-                    cfg.health = cfg.health.with_budget_secs(b);
-                }
-                Box::new(Hbp::new(cfg))
+                let cfg = if fast { HbpConfig::fast() } else { HbpConfig::default() };
+                Box::new(Hbp::new(HbpConfig {
+                    grouping: *g,
+                    budget_secs,
+                    ..cfg
+                }))
             }
             ModelKind::Cox => Box::new(CoxModel::new(CoxConfig::default())),
             ModelKind::Weibull => Box::new(WeibullNhpp::new(WeibullNhppConfig::default())),
@@ -414,15 +410,13 @@ fn fit_with_retry_using(
 ///
 /// A model whose every attempt fails (see [`RetryPolicy`]) is recorded in
 /// [`RegionResult::fits`] and skipped; the remaining models still evaluate.
-/// The outer `Result` is kept for source compatibility — this function no
-/// longer aborts on a model failure.
 pub fn evaluate_region(
     dataset: &Dataset,
     split: &TrainTestSplit,
     models: &[ModelKind],
     config: RunConfig,
     seed: u64,
-) -> Result<RegionResult> {
+) -> RegionResult {
     // Each model fit is a pure function of `(dataset, split, config, seed)`,
     // so fanning the loop out over a task pool cannot change any result —
     // only the wall clock. Curves and AUCs are computed inside the task (they
@@ -459,51 +453,17 @@ pub fn evaluate_region(
         fits.push(report);
         out.extend(result);
     }
-    Ok(RegionResult {
+    RegionResult {
         region: dataset.name().to_string(),
         models: out,
         fits,
-    })
-}
-
-/// Like [`evaluate_region`] but *strict*: any model failure is an error
-/// (`CoreError::DataFault` naming the failed models). Used where downstream
-/// alignment requires every model's result.
-pub fn evaluate_region_strict(
-    dataset: &Dataset,
-    split: &TrainTestSplit,
-    models: &[ModelKind],
-    config: RunConfig,
-    seed: u64,
-) -> Result<RegionResult> {
-    let result = evaluate_region(dataset, split, models, config, seed)?;
-    if result.all_succeeded() {
-        Ok(result)
-    } else {
-        let detail: Vec<String> = result
-            .fits
-            .iter()
-            .filter(|f| !f.succeeded())
-            .map(|f| {
-                format!(
-                    "{} ({} attempt(s): {})",
-                    f.model,
-                    f.attempts,
-                    f.error.as_deref().unwrap_or("unknown")
-                )
-            })
-            .collect();
-        Err(CoreError::DataFault(format!(
-            "models failed on {}: {}",
-            result.region,
-            detail.join("; ")
-        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipefail_core::{CoreError, Result};
     use pipefail_synth::WorldConfig;
 
     #[test]
@@ -523,8 +483,7 @@ mod tests {
                 > 0,
             "fixture must have test-year CWM failures"
         );
-        let result =
-            evaluate_region(ds, &split, &ModelKind::paper_five(), RunConfig::fast(), 7).unwrap();
+        let result = evaluate_region(ds, &split, &ModelKind::paper_five(), RunConfig::fast(), 7);
         assert_eq!(result.models.len(), 5);
         for m in &result.models {
             assert!(
@@ -736,33 +695,19 @@ mod tests {
             max_retries: 2,
             budget_secs: 1e-4,
         };
-        let result = evaluate_region(
-            ds,
-            &split,
-            &[ModelKind::Dpmhbp, ModelKind::TimeExp],
-            run,
-            7,
-        )
-        .unwrap();
+        let result = evaluate_region(ds, &split, &[ModelKind::Dpmhbp, ModelKind::TimeExp], run, 7);
         assert_eq!(result.fits.len(), 2);
         assert!(!result.all_succeeded());
         assert_eq!(result.failed_models(), vec!["DPMHBP"]);
         assert!(result.model("TimeExp").is_some(), "survivor still evaluated");
         assert!(result.model("DPMHBP").is_none());
-        let strict = evaluate_region_strict(
-            ds,
-            &split,
-            &[ModelKind::Dpmhbp, ModelKind::TimeExp],
-            run,
-            7,
-        );
-        assert!(matches!(strict, Err(CoreError::DataFault(_))));
     }
 
     #[test]
     fn identical_seeds_replay_identical_rankings() {
-        // The determinism guard behind checkpoint/resume: a clean fit is a
-        // pure function of (data, config, seed), bit for bit.
+        // The determinism guard behind the seeded retries and the
+        // byte-identical experiment artefacts: a clean fit is a pure
+        // function of (data, config, seed), bit for bit.
         let world = tiny_world();
         let ds = &world.regions()[0];
         let split = TrainTestSplit::paper_protocol();

@@ -69,32 +69,27 @@ pub fn replicate_aucs(
         // The paired tests need every model in every replicate; a replicate
         // where any model fails (even after its retries) is dropped whole so
         // the samples stay aligned.
-        match evaluate_region(ds, &split, models, inner, seed) {
-            Ok(r) if r.all_succeeded() => Some(
-                r.models
-                    .iter()
-                    .map(|m| {
-                        (
-                            m.auc_full,
-                            m.auc_restricted_bp,
-                            m.curve_length.y_at(0.01),
-                            m.curve_length_density.y_at(0.01),
-                        )
-                    })
-                    .collect(),
-            ),
-            Ok(r) => {
-                eprintln!(
-                    "[replicate {rep}] dropped: models failed: {}",
-                    r.failed_models().join(", ")
-                );
-                None
-            }
-            Err(e) => {
-                eprintln!("[replicate {rep}] dropped: {e}");
-                None
-            }
+        let r = evaluate_region(ds, &split, models, inner, seed);
+        if !r.all_succeeded() {
+            eprintln!(
+                "[replicate {rep}] dropped: models failed: {}",
+                r.failed_models().join(", ")
+            );
+            return None;
         }
+        Some(
+            r.models
+                .iter()
+                .map(|m| {
+                    (
+                        m.auc_full,
+                        m.auc_restricted_bp,
+                        m.curve_length.y_at(0.01),
+                        m.curve_length_density.y_at(0.01),
+                    )
+                })
+                .collect(),
+        )
     });
 
     let mut aucs_full = vec![Vec::with_capacity(replicates); models.len()];

@@ -40,8 +40,7 @@ proptest! {
         let ds = &world.regions()[0];
         let split = TrainTestSplit::paper_protocol();
         let models = model_mix();
-        let serial = evaluate_region(ds, &split, &models, RunConfig::fast().with_threads(1), seed)
-            .expect("serial run");
+        let serial = evaluate_region(ds, &split, &models, RunConfig::fast().with_threads(1), seed);
         for threads in [2usize, 4] {
             let parallel = evaluate_region(
                 ds,
@@ -49,8 +48,7 @@ proptest! {
                 &models,
                 RunConfig::fast().with_threads(threads),
                 seed,
-            )
-            .expect("parallel run");
+            );
             // Any divergence here means the partitioning leaked into the
             // results — the one thing the task pool promises never happens.
             prop_assert_eq!(&serial, &parallel);

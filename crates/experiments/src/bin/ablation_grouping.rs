@@ -23,7 +23,7 @@ fn main() {
     let results: Vec<_> = world
         .regions()
         .iter()
-        .map(|ds| evaluate_region(ds, &split, &models, ctx.run_config(), ctx.seed).expect("fit"))
+        .map(|ds| evaluate_region(ds, &split, &models, ctx.run_config(), ctx.seed))
         .collect();
     let table = format_auc_table(&results);
     section("Ablation A1 — CRP grouping vs fixed expert groupings", &table);

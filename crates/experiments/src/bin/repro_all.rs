@@ -16,10 +16,9 @@
 //! * a failed binary is retried (up to `PIPEFAIL_MAX_RETRIES` extra
 //!   launches) before being reported as failed;
 //! * a completed binary drops a marker under `<out>/status/`, so rerunning
-//!   `repro_all` after an interruption skips everything already done (and
-//!   the sampling models inside each binary additionally resume their own
-//!   chains from checkpoints where configured). Delete the `status/`
-//!   directory (or `PIPEFAIL_OUT`) for a from-scratch rerun;
+//!   `repro_all` after an interruption skips everything already done.
+//!   Delete the `status/` directory (or `PIPEFAIL_OUT`) for a from-scratch
+//!   rerun;
 //! * the run ends with a pass/fail/retried summary table — now with per-bin
 //!   wall-clock — and exits non-zero if any binary still failed.
 //!

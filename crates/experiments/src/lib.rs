@@ -109,12 +109,12 @@ impl Context {
 /// of Fig 18.7, Table 18.3, Fig 18.8 and Fig 18.9).
 pub fn run_comparison(ctx: &Context, world: &World) -> Vec<RegionResult> {
     let split = ctx.split();
+    let models = ModelKind::paper_five();
     world
         .regions()
         .iter()
         .map(|ds| {
-            let r = evaluate_region(ds, &split, &ModelKind::paper_five(), ctx.run_config(), ctx.seed)
-                .expect("comparison evaluation failed");
+            let r = evaluate_region(ds, &split, &models, ctx.run_config(), ctx.seed);
             // Failed models are skipped, not fatal; surface them so the
             // report's missing rows are explained.
             for f in r.fits.iter().filter(|f| !f.succeeded()) {

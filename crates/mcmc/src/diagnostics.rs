@@ -122,41 +122,18 @@ pub fn geweke(xs: &[f64], frac_a: f64, frac_b: f64) -> f64 {
     (ma - mb) / denom
 }
 
-/// Thresholds for the online [`ChainHealth`] monitor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Non-finite monitor draws tolerated before the chain is declared
-    /// diverged. Divergences can be transient (one pathological proposal),
-    /// so a small budget avoids failing chains that recover.
-    pub max_divergences: usize,
-    /// Sweeps per stuck-detection window. Each full window is tested and the
-    /// window then restarts, so detection latency is at most `2 * window`.
-    pub window: usize,
-    /// A full window whose draw standard deviation falls below
-    /// `min_draw_std * (1 + |window mean|)` is declared stuck.
-    pub min_draw_std: f64,
-    /// Optional wall-clock budget for the whole fit, in seconds.
-    pub wall_clock_budget_secs: Option<f64>,
-}
+/// Non-finite monitor draws [`ChainHealth`] tolerates before it declares
+/// the chain diverged. Divergences can be transient (one pathological
+/// proposal), so a small budget avoids failing chains that recover.
+const MAX_DIVERGENCES: usize = 25;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            max_divergences: 25,
-            window: 50,
-            min_draw_std: 1e-10,
-            wall_clock_budget_secs: None,
-        }
-    }
-}
+/// Sweeps per stuck-detection window. Each full window is tested and the
+/// window then restarts, so detection latency is at most twice this.
+const STUCK_WINDOW: usize = 50;
 
-impl HealthConfig {
-    /// Same thresholds with a wall-clock budget attached.
-    pub fn with_budget_secs(mut self, secs: f64) -> Self {
-        self.wall_clock_budget_secs = Some(secs);
-        self
-    }
-}
+/// A full window whose draw standard deviation falls below
+/// `MIN_DRAW_STD * (1 + |window mean|)` is declared stuck.
+const MIN_DRAW_STD: f64 = 1e-10;
 
 /// Online chain-health monitor.
 ///
@@ -164,10 +141,13 @@ impl HealthConfig {
 /// sweep (wall-clock check) and [`ChainHealth::observe_monitor`] with one or
 /// more scalar monitors of the chain state (e.g. the size-weighted mean
 /// failure rate). Any check that trips returns a typed [`McmcError`] the caller propagates; the retry
-/// policy upstream decides whether to restart with a fresh seed.
+/// policy upstream decides whether to restart with a fresh seed. The
+/// chain is declared diverged after its 26th non-finite monitor draw, and
+/// stuck when a 50-sweep window of draws has a standard deviation below
+/// `1e-10 · (1 + |window mean|)`.
 #[derive(Debug)]
 pub struct ChainHealth {
-    cfg: HealthConfig,
+    budget_secs: Option<f64>,
     sweep: usize,
     divergences: usize,
     window_draws: Vec<f64>,
@@ -175,13 +155,14 @@ pub struct ChainHealth {
 }
 
 impl ChainHealth {
-    /// Start monitoring now (the wall-clock budget runs from this call).
-    pub fn new(cfg: HealthConfig) -> Self {
+    /// Start monitoring now, with an optional wall-clock budget in seconds
+    /// that runs from this call.
+    pub fn new(budget_secs: Option<f64>) -> Self {
         Self {
-            cfg,
+            budget_secs,
             sweep: 0,
             divergences: 0,
-            window_draws: Vec::with_capacity(cfg.window),
+            window_draws: Vec::with_capacity(STUCK_WINDOW),
             started: Instant::now(),
         }
     }
@@ -200,7 +181,7 @@ impl ChainHealth {
     /// exhausted.
     pub fn begin_sweep(&mut self) -> Result<(), McmcError> {
         self.sweep += 1;
-        if let Some(budget) = self.cfg.wall_clock_budget_secs {
+        if let Some(budget) = self.budget_secs {
             let elapsed = self.started.elapsed().as_secs_f64();
             if elapsed > budget {
                 return Err(McmcError::Timeout {
@@ -218,7 +199,7 @@ impl ChainHealth {
     pub fn observe_monitor(&mut self, x: f64) -> Result<(), McmcError> {
         if !x.is_finite() {
             self.divergences += 1;
-            if self.divergences > self.cfg.max_divergences {
+            if self.divergences > MAX_DIVERGENCES {
                 return Err(McmcError::ChainDiverged {
                     sweep: self.sweep,
                     divergences: self.divergences,
@@ -227,16 +208,15 @@ impl ChainHealth {
             return Ok(());
         }
         self.window_draws.push(x);
-        if self.window_draws.len() >= self.cfg.window.max(2) {
+        if self.window_draws.len() >= STUCK_WINDOW {
             let m = mean(&self.window_draws).unwrap_or(0.0);
             let sd = variance(&self.window_draws).unwrap_or(0.0).sqrt();
             self.window_draws.clear();
-            if sd < self.cfg.min_draw_std * (1.0 + m.abs()) {
+            if sd < MIN_DRAW_STD * (1.0 + m.abs()) {
                 return Err(McmcError::ChainStuck {
                     sweep: self.sweep,
                     detail: format!(
-                        "monitor draw std {sd:.3e} below floor over a {} -sweep window",
-                        self.cfg.window
+                        "monitor draw std {sd:.3e} below floor over a {STUCK_WINDOW} -sweep window"
                     ),
                 });
             }
@@ -368,7 +348,7 @@ mod tests {
 
     #[test]
     fn health_tolerates_sporadic_divergences() {
-        let mut h = ChainHealth::new(HealthConfig::default());
+        let mut h = ChainHealth::new(None);
         let mut rng = seeded_rng(55);
         let noise = Normal::standard();
         for i in 0..500 {
@@ -381,25 +361,24 @@ mod tests {
 
     #[test]
     fn health_flags_divergence_budget_exhaustion() {
-        let cfg = HealthConfig {
-            max_divergences: 3,
-            ..HealthConfig::default()
-        };
-        let mut h = ChainHealth::new(cfg);
+        let mut h = ChainHealth::new(None);
         let mut err = None;
-        for _ in 0..10 {
+        for _ in 0..2 * MAX_DIVERGENCES {
             h.begin_sweep().unwrap();
             if let Err(e) = h.observe_monitor(f64::INFINITY) {
                 err = Some(e);
                 break;
             }
         }
-        assert!(matches!(err, Some(McmcError::ChainDiverged { divergences: 4, .. })));
+        assert!(matches!(
+            err,
+            Some(McmcError::ChainDiverged { divergences, .. }) if divergences == MAX_DIVERGENCES + 1
+        ));
     }
 
     #[test]
     fn health_flags_stuck_constant_monitor() {
-        let mut h = ChainHealth::new(HealthConfig::default());
+        let mut h = ChainHealth::new(None);
         let mut err = None;
         for _ in 0..200 {
             h.begin_sweep().unwrap();
@@ -413,7 +392,7 @@ mod tests {
 
     #[test]
     fn health_accepts_a_moving_chain() {
-        let mut h = ChainHealth::new(HealthConfig::default());
+        let mut h = ChainHealth::new(None);
         let mut rng = seeded_rng(56);
         let noise = Normal::standard();
         for _ in 0..1_000 {
@@ -424,8 +403,7 @@ mod tests {
 
     #[test]
     fn health_enforces_wall_clock_budget() {
-        let cfg = HealthConfig::default().with_budget_secs(0.0);
-        let mut h = ChainHealth::new(cfg);
+        let mut h = ChainHealth::new(Some(0.0));
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert!(matches!(h.begin_sweep(), Err(McmcError::Timeout { .. })));
     }

@@ -54,7 +54,7 @@ pub mod error;
 pub mod slice;
 pub mod transform;
 
-pub use diagnostics::{ChainHealth, HealthConfig};
+pub use diagnostics::ChainHealth;
 pub use error::McmcError;
 
 /// How many iterations to run, discard and keep.

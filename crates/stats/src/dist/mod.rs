@@ -10,29 +10,19 @@ use rand::Rng;
 
 mod bernoulli;
 mod beta;
-mod binomial;
 mod categorical;
-mod dirichlet;
-mod exponential;
 mod gamma;
 mod normal;
 mod poisson;
 mod student_t;
-mod uniform;
-mod weibull;
 
 pub use bernoulli::Bernoulli;
 pub use beta::Beta;
-pub use binomial::Binomial;
 pub use categorical::{sample_from_log_weights, AliasTable, Categorical};
-pub use dirichlet::Dirichlet;
-pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use normal::Normal;
 pub use poisson::Poisson;
 pub use student_t::StudentT;
-pub use uniform::Uniform;
-pub use weibull::Weibull;
 
 /// A distribution that can be sampled with a caller-provided RNG.
 pub trait Sampler {

@@ -100,8 +100,8 @@ mod tests {
         let b = draws(RETRY_STREAM_BASE + 2);
         assert_ne!(a, b);
         assert_ne!(a[0], b[0], "chains diverge from the very first draw");
-        // And the same retry attempt replays byte-identically — the
-        // determinism guard behind checkpoint/resume.
+        // And the same retry attempt replays byte-identically, so a
+        // retried experiment stays a pure function of its master seed.
         assert_eq!(a, draws(RETRY_STREAM_BASE + 1));
     }
 }

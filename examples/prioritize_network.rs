@@ -40,8 +40,7 @@ fn main() {
         &ModelKind::paper_five(),
         RunConfig::fast(),
         7,
-    )
-    .expect("evaluation failed");
+    );
 
     println!("\n{}", format_auc_table(std::slice::from_ref(&result)));
     println!("Failures detected within a 1%-of-length inspection budget:");

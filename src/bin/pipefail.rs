@@ -217,8 +217,7 @@ fn cmd_evaluate(options: &Options) -> Result<(), String> {
         fast,
         ..RunConfig::default()
     };
-    let result = evaluate_region(&ds, &split, &ModelKind::paper_five(), config, seed)
-        .map_err(|e| e.to_string())?;
+    let result = evaluate_region(&ds, &split, &ModelKind::paper_five(), config, seed);
     println!("{}", format_auc_table(std::slice::from_ref(&result)));
     Ok(())
 }

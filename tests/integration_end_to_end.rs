@@ -44,8 +44,7 @@ fn all_models_rank_the_same_pipe_set() {
         ],
         RunConfig::fast(),
         9,
-    )
-    .unwrap();
+    );
     let n = ds.pipes_of_class(PipeClass::Critical).count();
     for m in &result.models {
         assert_eq!(m.curve_count.len(), n, "{} ranked a different set", m.model);

@@ -48,8 +48,7 @@ fn fig18_7_and_table18_3_artifacts() {
         &[ModelKind::Dpmhbp, ModelKind::Cox],
         RunConfig::fast(),
         5,
-    )
-    .unwrap();
+    );
     let csv = detection_curves_csv(&result, 50);
     assert_eq!(csv.lines().count(), 51);
     assert!(csv.starts_with("budget,DPMHBP,Cox"));
