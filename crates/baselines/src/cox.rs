@@ -14,6 +14,7 @@ use pipefail_network::attributes::PipeClass;
 use pipefail_network::dataset::Dataset;
 use pipefail_network::features::FeatureMask;
 use pipefail_network::split::TrainTestSplit;
+use pipefail_stats::linalg::solve_spd;
 
 /// Fitted coefficients plus Breslow baseline increments `(event age, dΛ₀)`.
 type CoxFit = (Vec<f64>, Vec<(f64, f64)>);
@@ -110,8 +111,8 @@ impl CoxModel {
         let mut beta = vec![0.0; d];
         let mut current_ll = engine.loglik(&beta, l2);
         for _ in 0..max_iter {
-            let (grad, hess) = engine.newton_terms(&beta, l2);
-            let step = solve_spd(hess, &grad, d)
+            let (grad, mut hess) = engine.newton_terms(&beta, l2);
+            let step = solve_spd(&mut hess, &grad, d)
                 .ok_or_else(|| CoreError::FitFailed("Cox: singular information matrix".into()))?;
             // Step halving.
             let mut scale = 1.0;
@@ -323,45 +324,6 @@ impl<'a> RiskSetEngine<'a> {
         out.reverse();
         out
     }
-}
-
-/// Cholesky solve of `H s = g` (row-major `d × d`, consumed).
-fn solve_spd(mut a: Vec<f64>, g: &[f64], d: usize) -> Option<Vec<f64>> {
-    for j in 0..d {
-        let mut diag = a[j * d + j];
-        for k in 0..j {
-            diag -= a[j * d + k] * a[j * d + k];
-        }
-        if diag <= 0.0 {
-            return None;
-        }
-        let diag = diag.sqrt();
-        a[j * d + j] = diag;
-        for i in (j + 1)..d {
-            let mut v = a[i * d + j];
-            for k in 0..j {
-                v -= a[i * d + k] * a[j * d + k];
-            }
-            a[i * d + j] = v / diag;
-        }
-    }
-    let mut y = vec![0.0; d];
-    for i in 0..d {
-        let mut v = g[i];
-        for k in 0..i {
-            v -= a[i * d + k] * y[k];
-        }
-        y[i] = v / a[i * d + i];
-    }
-    let mut s = vec![0.0; d];
-    for i in (0..d).rev() {
-        let mut v = y[i];
-        for k in (i + 1)..d {
-            v -= a[k * d + i] * s[k];
-        }
-        s[i] = v / a[i * d + i];
-    }
-    Some(s)
 }
 
 impl FailureModel for CoxModel {

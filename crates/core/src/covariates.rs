@@ -18,6 +18,7 @@ use pipefail_network::attributes::PipeClass;
 use pipefail_network::dataset::Dataset;
 use pipefail_network::features::{FeatureEncoder, FeatureMask};
 use pipefail_network::split::TrainTestSplit;
+use pipefail_stats::linalg::solve_spd;
 
 /// Fitted Poisson regression with log link and exposure offset.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +99,7 @@ impl PoissonRegression {
                     hess[j * p + k] = hess[k * p + j];
                 }
             }
-            let step = solve_spd(&mut hess.clone(), &grad, p)
+            let step = solve_spd(&mut hess, &grad, p)
                 .ok_or_else(|| CoreError::FitFailed("singular Poisson Hessian".into()))?;
             let mut max_step = 0.0_f64;
             for (t, s) in theta.iter_mut().zip(&step) {
@@ -137,50 +138,6 @@ impl PoissonRegression {
             .sum();
         eta.clamp(-3.0, 3.0).exp()
     }
-}
-
-/// Solve the symmetric positive-definite system `A s = g` by Cholesky;
-/// `a` is row-major `p × p` and is destroyed. Returns `None` when `A` is not
-/// positive definite.
-fn solve_spd(a: &mut [f64], g: &[f64], p: usize) -> Option<Vec<f64>> {
-    // Cholesky: A = L Lᵀ, stored in the lower triangle of `a`.
-    for j in 0..p {
-        let mut diag = a[j * p + j];
-        for k in 0..j {
-            diag -= a[j * p + k] * a[j * p + k];
-        }
-        if diag <= 0.0 {
-            return None;
-        }
-        let diag = diag.sqrt();
-        a[j * p + j] = diag;
-        for i in (j + 1)..p {
-            let mut v = a[i * p + j];
-            for k in 0..j {
-                v -= a[i * p + k] * a[j * p + k];
-            }
-            a[i * p + j] = v / diag;
-        }
-    }
-    // Forward solve L y = g.
-    let mut y = vec![0.0; p];
-    for i in 0..p {
-        let mut v = g[i];
-        for k in 0..i {
-            v -= a[i * p + k] * y[k];
-        }
-        y[i] = v / a[i * p + i];
-    }
-    // Backward solve Lᵀ s = y.
-    let mut s = vec![0.0; p];
-    for i in (0..p).rev() {
-        let mut v = y[i];
-        for k in (i + 1)..p {
-            v -= a[k * p + i] * s[k];
-        }
-        s[i] = v / a[i * p + i];
-    }
-    Some(s)
 }
 
 /// Per-segment hazard multipliers fitted on a dataset's training window.

@@ -1032,46 +1032,64 @@ pub(crate) fn shard_partial(
     Ok(AggregatePartial { groups, candidates: None })
 }
 
-/// Merge partials fold-left in the order given (callers pass sorted
-/// region-key order) into the final `(groups, budget summary)` pair.
+/// Merge partials in the order given (callers pass sorted region-key
+/// order) into the final `(groups, budget summary)` pair: the
+/// [`merge_to_partial`] fold or candidate stream, and with a budget the
+/// global greedy over that stream — select while the cumulative length
+/// fits, stop at the first pipe that would overflow, and aggregate the
+/// selection in selection order.
 pub(crate) fn merge_partials(
     spec: &AggregateSpec,
     partials: &[AggregatePartial],
 ) -> (Vec<(Vec<String>, GroupState)>, Option<BudgetSummary>) {
-    if let Some(budget) = spec.budget_length_m {
-        return merge_budget(spec, partials, budget);
-    }
-    (fold_groups(partials), None)
-}
-
-/// Fold every partial's group states left-to-right into one key-sorted
-/// group table; callers fix the partial order (sorted region-key) so the
-/// f64 addition order is pinned.
-fn fold_groups(partials: &[AggregatePartial]) -> Vec<(Vec<String>, GroupState)> {
+    let merged = merge_to_partial(spec, partials);
+    let Some(budget) = spec.budget_length_m else {
+        return (merged.groups, None);
+    };
     let mut groups: BTreeMap<Vec<String>, GroupState> = BTreeMap::new();
-    for partial in partials {
-        for (key, state) in &partial.groups {
-            groups
-                .entry(key.clone())
-                .and_modify(|g| g.merge(state))
-                .or_insert_with(|| state.clone());
+    let mut selected = 0u64;
+    let mut total_length = 0.0f64;
+    for c in merged.candidates.iter().flatten() {
+        if total_length + c.length_m > budget {
+            break;
         }
+        selected += 1;
+        total_length += c.length_m;
+        groups
+            .entry(group_key(spec, &c.region, usize::from(c.material), c.laid_year))
+            .and_modify(|g| g.add(c.score, c.length_m))
+            .or_insert_with(|| GroupState::one(c.score, c.length_m));
     }
-    groups.into_iter().collect()
+    (
+        groups.into_iter().collect(),
+        Some(BudgetSummary { budget_length_m: budget, selected, total_length_m: total_length }),
+    )
 }
 
 /// Collapse several shard partials into **one** partial — the
-/// `?partial=1` answer of a server that itself runs multiple shards.
-/// Group states fold in the given (sorted-key) order; budget candidate
+/// `?partial=1` answer of a server that itself runs multiple shards, and
+/// the first step of [`merge_partials`]. Group states fold left-to-right
+/// into one key-sorted table; callers fix the partial order (sorted
+/// region key) so the f64 addition order is pinned. Budget candidate
 /// streams k-way-merge into one descending-score stream (ties toward the
-/// earliest stream), which preserves every shard's prefix-then-sentinel
-/// ordering so the front end's global greedy still stops correctly.
+/// earliest stream, exactly like the top-K merge), which preserves every
+/// shard's prefix-then-sentinel ordering so a global greedy over it
+/// still stops correctly.
 pub(crate) fn merge_to_partial(
     spec: &AggregateSpec,
     partials: &[AggregatePartial],
 ) -> AggregatePartial {
     if spec.budget_length_m.is_none() {
-        return AggregatePartial { groups: fold_groups(partials), candidates: None };
+        let mut groups: BTreeMap<Vec<String>, GroupState> = BTreeMap::new();
+        for partial in partials {
+            for (key, state) in &partial.groups {
+                groups
+                    .entry(key.clone())
+                    .and_modify(|g| g.merge(state))
+                    .or_insert_with(|| state.clone());
+            }
+        }
+        return AggregatePartial { groups: groups.into_iter().collect(), candidates: None };
     }
     let streams: Vec<&[Candidate]> = partials
         .iter()
@@ -1095,53 +1113,6 @@ pub(crate) fn merge_to_partial(
         cursor[s] += 1;
     }
     AggregatePartial { groups: Vec::new(), candidates: Some(merged) }
-}
-
-/// The global budget greedy: k-way-merge the candidate streams by
-/// descending score (ties toward the earliest stream, exactly like the
-/// top-K merge), select while the cumulative length fits, stop at the
-/// first pipe that would overflow, and aggregate the selection in
-/// selection order.
-fn merge_budget(
-    spec: &AggregateSpec,
-    partials: &[AggregatePartial],
-    budget: f64,
-) -> (Vec<(Vec<String>, GroupState)>, Option<BudgetSummary>) {
-    let streams: Vec<&[Candidate]> = partials
-        .iter()
-        .map(|p| p.candidates.as_deref().unwrap_or(&[]))
-        .collect();
-    let mut cursor = vec![0usize; streams.len()];
-    let mut groups: BTreeMap<Vec<String>, GroupState> = BTreeMap::new();
-    let mut selected = 0u64;
-    let mut total_length = 0.0f64;
-    loop {
-        // Next pipe in global descending-risk order: the best live head.
-        // Strict `>` keeps the earliest stream on ties.
-        let mut best: Option<(usize, &Candidate)> = None;
-        for (s, stream) in streams.iter().enumerate() {
-            if let Some(c) = stream.get(cursor[s]) {
-                if best.is_none_or(|(_, b)| c.score > b.score) {
-                    best = Some((s, c));
-                }
-            }
-        }
-        let Some((s, c)) = best else { break };
-        if total_length + c.length_m > budget {
-            break;
-        }
-        cursor[s] += 1;
-        selected += 1;
-        total_length += c.length_m;
-        groups
-            .entry(group_key(spec, &c.region, usize::from(c.material), c.laid_year))
-            .and_modify(|g| g.add(c.score, c.length_m))
-            .or_insert_with(|| GroupState::one(c.score, c.length_m));
-    }
-    (
-        groups.into_iter().collect(),
-        Some(BudgetSummary { budget_length_m: budget, selected, total_length_m: total_length }),
-    )
 }
 
 // ---------------------------------------------------------------------------

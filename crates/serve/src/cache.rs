@@ -46,8 +46,8 @@
 //! a cache hit allocates only its key on the request path once that buffer
 //! is warm.
 
-use crate::http::{Body, Response, ServerConfig};
-use crate::metrics::Metrics;
+use crate::http::{Response, ServerConfig};
+use crate::metrics::{Counter, Metrics};
 use crate::parser::ParsedRequest;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -136,8 +136,7 @@ impl Entry {
 
     /// Rebuild the full response: shared body, no copy.
     fn response(&self) -> Response {
-        let mut response = Response::json(200, Body::Shared(Arc::clone(&self.body)));
-        response.content_type = self.content_type;
+        let mut response = Response::text(200, self.content_type, Arc::clone(&self.body));
         response.etag = self.etag;
         response
     }
@@ -359,7 +358,7 @@ impl ResultCache {
         // validator is answered without touching the cache or the scorer.
         if let (Some(tag), Some(inm)) = (etag, &req.if_none_match) {
             if *inm == format!("\"{tag:016x}\"") {
-                metrics.cache_hit();
+                metrics.add(Counter::CacheHits, 1);
                 let mut response = Response::json(304, "");
                 response.etag = Some(tag);
                 return (response, Answer::Stored);
@@ -370,18 +369,18 @@ impl ResultCache {
         }
         match self.admit(&text) {
             Admission::Hit(entry) => {
-                metrics.cache_hit();
+                metrics.add(Counter::CacheHits, 1);
                 (entry.response(), Answer::Stored)
             }
             Admission::Lead(key, flight) => {
-                metrics.cache_miss();
+                metrics.add(Counter::CacheMisses, 1);
                 let mut guard =
                     FlightGuard { cache: self, key: &key, flight: &flight, metrics, armed: true };
-                let (mut response, answer) = unstored(etag, compute);
+                let (response, answer) = unstored(etag, compute);
                 let entry = (is_full(&response) && epoch_now() == epoch).then(|| {
                     Arc::new(Entry {
                         content_type: response.content_type,
-                        body: response.share_body(),
+                        body: Arc::clone(&response.body),
                         etag,
                     })
                 });
@@ -391,13 +390,13 @@ impl ResultCache {
             }
             Admission::Join(flight) => match flight.wait(self.wait_timeout) {
                 Some(Some(entry)) => {
-                    metrics.cache_coalesced();
+                    metrics.add(Counter::CacheCoalescedWaits, 1);
                     (entry.response(), Answer::Stored)
                 }
                 // Leader's answer was uncacheable (or it wedged): compute
                 // our own — correctness never depends on the gate.
                 _ => {
-                    metrics.cache_miss();
+                    metrics.add(Counter::CacheMisses, 1);
                     unstored(etag, compute)
                 }
             },
@@ -443,8 +442,8 @@ impl ResultCache {
                 None => (0, 0),
             }
         };
-        metrics.cache_resident_delta(delta);
-        metrics.cache_evicted(evictions);
+        metrics.add(Counter::CacheResidentBytes, delta);
+        metrics.add(Counter::CacheEvictions, evictions as i64);
         flight.publish(entry);
     }
 

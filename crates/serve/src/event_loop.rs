@@ -39,7 +39,7 @@
 // sheddable.
 
 use crate::http::{json_str, RequestHandler, Response, ServerConfig};
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{Counter, Metrics, Route};
 use crate::parser::{self, ParseOutcome, ParsedRequest};
 use crate::sys::{self, ep, EpollEvent};
 use std::collections::HashMap;
@@ -379,7 +379,7 @@ impl Core {
             drop(table);
             // No connection is idle: admission control answers 429 instead
             // of letting the accept queue starve.
-            self.metrics.admission_rejected();
+            self.metrics.add(Counter::AdmissionRejected, 1);
             self.metrics.observe(Route::Other, 429, Duration::ZERO);
             let mut response = Response::json(429, "{\"error\":\"too many requests\"}")
                 .with_header("Retry-After", "1");
@@ -402,7 +402,7 @@ impl Core {
             return;
         }
         // Counted before the table lock drops, so no close can precede it.
-        self.metrics.conn_opened();
+        self.metrics.add(Counter::ConnectionsOpen, 1);
         drop(table);
         self.arm(idle_deadline);
     }
@@ -427,7 +427,7 @@ impl Core {
             return false;
         };
         self.close_in(table, token, &mut c);
-        self.metrics.connection_shed();
+        self.metrics.add(Counter::ConnectionsShed, 1);
         true
     }
 
@@ -539,7 +539,7 @@ impl Core {
         };
         c.served += 1;
         if c.served > 1 {
-            self.metrics.keepalive_reuse();
+            self.metrics.add(Counter::KeepaliveReuses, 1);
         }
         let at_cap = self.keepalive_requests > 0 && c.served >= self.keepalive_requests;
         let started = Instant::now();
@@ -557,7 +557,7 @@ impl Core {
         // count in their own side counter so a federation front end polling
         // `/healthz` every second doesn't drown the request series.
         if route == Route::Healthz {
-            self.metrics.healthz();
+            self.metrics.add(Counter::Healthz, 1);
         } else {
             self.metrics
                 .observe(route, response.status, started.elapsed());
@@ -589,6 +589,6 @@ impl Core {
         c.closed = true;
         table.conns.remove(&token);
         self.epoll.del(c.stream.as_raw_fd());
-        self.metrics.conn_closed();
+        self.metrics.add(Counter::ConnectionsOpen, -1);
     }
 }

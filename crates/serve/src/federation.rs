@@ -57,7 +57,7 @@ use crate::http::{
     self, query_param, render_global_top_k_keys, serve_handler, unknown_region_body_keys,
     RequestHandler, Response, ServerConfig, ServerHandle,
 };
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{Counter, Metrics, Route, ShardCounter};
 use crate::parser::ParsedRequest;
 use crate::reload::sleep_interruptible;
 use crate::scorer::PipeRisk;
@@ -579,7 +579,7 @@ impl Federation {
         let mut last = None;
         for attempt in 0..=self.config.retries {
             if attempt > 0 {
-                metrics.fed_retry();
+                metrics.add(Counter::FedRetries, 1);
                 if backoff_ms > 0 {
                     std::thread::sleep(Duration::from_millis(jitter(backoff_ms)));
                 }
@@ -661,7 +661,7 @@ impl Federation {
                     Ok(Some((reply, keep_alive))) => {
                         let winner = live.swap_remove(i);
                         if winner.hedge {
-                            metrics.fed_hedge_win();
+                            metrics.add(Counter::FedHedgeWins, 1);
                         }
                         if reuse && keep_alive {
                             backend.check_in(winner.conn);
@@ -698,7 +698,7 @@ impl Federation {
             }
             if hedge_at.is_some_and(|at| now >= at) {
                 hedge_at = None;
-                metrics.fed_hedge();
+                metrics.add(Counter::FedHedges, 1);
                 match Exchange::open(backend, reuse, true, deadline) {
                     Ok(hedge) => live.push(hedge),
                     Err(e) => hedge_error = Some(e),
@@ -741,7 +741,8 @@ impl Federation {
                     false
                 }
             };
-            metrics.fed_probe(ok);
+            metrics.add(Counter::FedProbes, 1);
+            metrics.add(Counter::FedProbeFailures, i64::from(!ok));
         }
     }
 }
@@ -1039,7 +1040,7 @@ impl FederationRouter {
         let request = request_bytes("GET", &format!("{}?{}", req.path, req.query), "", true);
         match self.fed.fetch(&self.fed.backends[idx], &request, metrics) {
             Ok(reply) => {
-                metrics.shard_request(idx);
+                metrics.shard_add(idx, ShardCounter::Requests);
                 let response = Response::json(reply.status, reply.body);
                 if reply.status == 503 {
                     response.with_header("Retry-After", self.fed.retry_after_secs().to_string())
@@ -1048,7 +1049,7 @@ impl FederationRouter {
                 }
             }
             Err(e) => {
-                metrics.shard_unavailable(idx);
+                metrics.shard_add(idx, ShardCounter::Unavailable);
                 self.error_response(&e)
             }
         }
@@ -1090,7 +1091,7 @@ impl FederationRouter {
         );
         if answer == Answer::Stored {
             self.count_fanout(metrics);
-            metrics.global_topk();
+            metrics.add(Counter::GlobalTopk, 1);
         }
         response
     }
@@ -1099,14 +1100,14 @@ impl FederationRouter {
     /// backend answered: count each, as the computed answer did.
     fn count_fanout(&self, metrics: &Metrics) {
         for idx in 0..self.fed.backends.len() {
-            metrics.shard_request(idx);
+            metrics.shard_add(idx, ShardCounter::Requests);
         }
     }
 
     fn scatter_top(&self, k: usize, metrics: &Metrics) -> Response {
         let request = request_bytes("GET", &format!("/top?k={k}"), "", true);
         self.scatter("global top-k", &request, metrics, parse_top_entries, |live| {
-            metrics.global_topk();
+            metrics.add(Counter::GlobalTopk, 1);
             let keys_escaped: Vec<String> = live
                 .iter()
                 .map(|(idx, _)| http::json_str(&self.fed.backends[*idx].key))
@@ -1160,11 +1161,11 @@ impl FederationRouter {
             match reply {
                 Some(value) => {
                     live.push((idx, value));
-                    metrics.shard_request(idx);
+                    metrics.shard_add(idx, ShardCounter::Requests);
                 }
                 None => {
                     missing.push(&fed.backends[idx].key);
-                    metrics.shard_unavailable(idx);
+                    metrics.shard_add(idx, ShardCounter::Unavailable);
                 }
             }
         }

@@ -36,7 +36,7 @@
 
 use crate::aggregate::{self, AggregateSpec};
 use crate::cache::{self, Answer, ResultCache};
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{Counter, Metrics, Route, ShardCounter};
 use crate::parser::ParsedRequest;
 use crate::reload;
 use crate::scorer::{PipeRisk, Query, QueryResult, RiskSlice, Scorer};
@@ -358,7 +358,7 @@ impl Drop for ServerHandle {
 /// framing — unchanged.
 pub(crate) trait RequestHandler: Send + Sync + 'static {
     /// Answer one request. `Route::Healthz` responses are counted in
-    /// [`Metrics::healthz_total`] instead of the request metrics.
+    /// [`Counter::Healthz`] instead of the request metrics.
     fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response);
 }
 
@@ -479,87 +479,12 @@ pub(crate) fn serve_handler(
     Err(ServeError::BadConfig("serving requires Linux (epoll)".into()))
 }
 
-/// A response body: freshly rendered (`Owned`) or shared out of the
-/// result cache (`Shared`). Derefs to `str` so every reader treats it
-/// like the `String` it used to be; a cache hit clones an `Arc` refcount
-/// instead of copying the rendered bytes.
-#[derive(Debug, Clone)]
-pub(crate) enum Body {
-    /// A body rendered for this request.
-    Owned(String),
-    /// A body shared with the result cache (and other in-flight hits).
-    Shared(Arc<str>),
-}
-
-impl std::ops::Deref for Body {
-    type Target = str;
-    fn deref(&self) -> &str {
-        match self {
-            Body::Owned(s) => s,
-            Body::Shared(s) => s,
-        }
-    }
-}
-
-impl From<String> for Body {
-    fn from(s: String) -> Self {
-        Body::Owned(s)
-    }
-}
-
-impl From<&str> for Body {
-    fn from(s: &str) -> Self {
-        Body::Owned(s.to_string())
-    }
-}
-
-impl std::fmt::Display for Body {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self)
-    }
-}
-
-impl PartialEq for Body {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl PartialEq<str> for Body {
-    fn eq(&self, other: &str) -> bool {
-        **self == *other
-    }
-}
-
-impl PartialEq<&str> for Body {
-    fn eq(&self, other: &&str) -> bool {
-        **self == **other
-    }
-}
-
-impl PartialEq<String> for Body {
-    fn eq(&self, other: &String) -> bool {
-        **self == **other
-    }
-}
-
-impl PartialEq<Body> for String {
-    fn eq(&self, other: &Body) -> bool {
-        *self == **other
-    }
-}
-
-impl PartialEq<Body> for &str {
-    fn eq(&self, other: &Body) -> bool {
-        **self == **other
-    }
-}
-
 /// A response ready to serialize.
 pub(crate) struct Response {
     pub(crate) status: u16,
     pub(crate) content_type: &'static str,
-    pub(crate) body: Body,
+    /// Shared with the result cache, whose hits reuse it without a copy.
+    pub(crate) body: Arc<str>,
     /// Extra headers beyond the always-present framing set
     /// (`Retry-After`, `X-Pipefail-Partial`, …).
     pub(crate) headers: Vec<(&'static str, String)>,
@@ -579,20 +504,15 @@ pub(crate) struct Response {
 }
 
 impl Response {
-    pub(crate) fn json(status: u16, body: impl Into<Body>) -> Self {
-        Self {
-            status,
-            content_type: "application/json",
-            body: body.into(),
-            headers: Vec::new(),
-            etag: None,
-            epoch: None,
-            head_only: false,
-            close: false,
-        }
+    pub(crate) fn json(status: u16, body: impl Into<Arc<str>>) -> Self {
+        Self::text(status, "application/json", body)
     }
 
-    pub(crate) fn text(status: u16, content_type: &'static str, body: impl Into<Body>) -> Self {
+    pub(crate) fn text(
+        status: u16,
+        content_type: &'static str,
+        body: impl Into<Arc<str>>,
+    ) -> Self {
         Self {
             status,
             content_type,
@@ -603,19 +523,6 @@ impl Response {
             head_only: false,
             close: false,
         }
-    }
-
-    /// Convert the body to its shared form in place (one copy if it was
-    /// owned, free if already shared) and return another handle to it —
-    /// how the result cache takes a reference to a rendered body.
-    pub(crate) fn share_body(&mut self) -> Arc<str> {
-        let shared: Arc<str> = match std::mem::replace(&mut self.body, Body::Owned(String::new()))
-        {
-            Body::Owned(s) => Arc::from(s),
-            Body::Shared(s) => s,
-        };
-        self.body = Body::Shared(Arc::clone(&shared));
-        shared
     }
 
     /// This response with one extra header appended.
@@ -827,11 +734,11 @@ fn shard_answer(
     let scorer = match shard.serving() {
         Ok(scorer) => scorer,
         Err(reason) => {
-            metrics.shard_unavailable(idx);
+            metrics.shard_add(idx, ShardCounter::Unavailable);
             return Response::json(503, degraded_shard_body(shard.key(), &reason));
         }
     };
-    metrics.shard_request(idx);
+    metrics.shard_add(idx, ShardCounter::Requests);
     cache.answer(req, metrics, epoch, key, || shard.epoch(), || render(&scorer)).0
 }
 
@@ -866,7 +773,7 @@ fn top_response(
                 || global_top_response(shards, metrics, k),
             );
             if answer == Answer::Stored {
-                metrics.global_topk();
+                metrics.add(Counter::GlobalTopk, 1);
             }
             response
         }
@@ -877,13 +784,13 @@ fn top_response(
 fn global_top_response(shards: &ShardSet, metrics: &Metrics, k: usize) -> Response {
     match shards.global_top_k(k) {
         Ok(merged) => {
-            metrics.global_topk();
+            metrics.add(Counter::GlobalTopk, 1);
             Response::json(200, render_global_top_k(shards, &merged, k))
         }
         Err(degraded) => {
             for key in &degraded {
                 if let Some(idx) = shards.index_of(key) {
-                    metrics.shard_unavailable(idx);
+                    metrics.shard_add(idx, ShardCounter::Unavailable);
                 }
             }
             let keys: Vec<String> = degraded.iter().map(|k| json_str(k)).collect();
@@ -1032,15 +939,15 @@ fn batch_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) ->
         match shard.serving() {
             Ok(scorer) => views[idx] = Some(scorer),
             Err(reason) => {
-                metrics.shard_unavailable(idx);
+                metrics.shard_add(idx, ShardCounter::Unavailable);
                 return Response::json(503, degraded_shard_body(shard.key(), &reason));
             }
         }
     }
     for op in &ops {
         match op {
-            BatchOp::Shard(idx, _) => metrics.shard_request(*idx),
-            BatchOp::GlobalTop(_) => metrics.global_topk(),
+            BatchOp::Shard(idx, _) => metrics.shard_add(*idx, ShardCounter::Requests),
+            BatchOp::GlobalTop(_) => metrics.add(Counter::GlobalTopk, 1),
         }
     }
 
@@ -1099,7 +1006,7 @@ fn aggregate_response(
     );
     if answer == Answer::Stored {
         for idx in 0..shards.len() {
-            metrics.shard_request(idx);
+            metrics.shard_add(idx, ShardCounter::Requests);
         }
     }
     response
@@ -1122,7 +1029,7 @@ fn aggregate_compute(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics)
         match shard.serving() {
             Ok(scorer) => views.push(scorer),
             Err(_) => {
-                metrics.shard_unavailable(idx);
+                metrics.shard_add(idx, ShardCounter::Unavailable);
                 degraded.push(shard.key());
             }
         }
@@ -1158,7 +1065,7 @@ fn aggregate_compute(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics)
         }
     }
     for idx in 0..views.len() {
-        metrics.shard_request(idx);
+        metrics.shard_add(idx, ShardCounter::Requests);
     }
     let partials = ctx.pool.run(views.len(), |i| {
         aggregate::shard_partial(&spec, &views[i]).expect("attributes checked above")
@@ -1535,8 +1442,8 @@ mod tests {
         assert_eq!(resp.status, 200);
         let (_, resp) = route_uncached(&get("/pipe?region=region_a&id=9"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 404);
-        assert_eq!(metrics.shard_requests(1), 2);
-        assert_eq!(metrics.shard_requests(0), 1);
+        assert_eq!(metrics.shard_get(1, ShardCounter::Requests), 2);
+        assert_eq!(metrics.shard_get(0, ShardCounter::Requests), 1);
     }
 
     #[test]
@@ -1554,7 +1461,7 @@ mod tests {
         assert!(resp.body.contains(
             "{\"pipe\":9,\"score\":0.5,\"rank\":2,\"region\":\"region_b\",\"shard_rank\":1}"
         ), "{}", resp.body);
-        assert_eq!(metrics.global_topk_total(), 1);
+        assert_eq!(metrics.get(Counter::GlobalTopk), 1);
         // Region-less /pipe cannot route: pipe ids are per-region.
         let (_, resp) = route_uncached(&get("/pipe?id=1"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 400);
@@ -1577,7 +1484,7 @@ mod tests {
         let (_, resp) = route_uncached(&get("/top"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("\"shards\":[\"region_a\"]"), "{}", resp.body);
-        assert_eq!(metrics.shard_unavailable_total(0), 2);
+        assert_eq!(metrics.shard_get(0, ShardCounter::Unavailable), 2);
     }
 
     #[test]
@@ -1587,7 +1494,7 @@ mod tests {
         let (route, resp) = route_uncached(&get("/healthz"), &ctx, &metrics, 5);
         assert_eq!(route, Route::Healthz);
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.body, "{\"status\":\"ok\"}");
+        assert_eq!(&*resp.body, "{\"status\":\"ok\"}");
         assert!(resp.header("Retry-After").is_none());
         ctx.shards().get("region_a").unwrap().degrade("bad bytes".into());
         // Readiness flips to 503 naming the degraded shard…
@@ -1654,9 +1561,9 @@ mod tests {
         // tags; line 3: shard-routed top.
         assert!(resp.body.contains("\"pipe_risk\":{\"pipe\":9"), "{}", resp.body);
         assert!(resp.body.contains("\"region\":\"region_a\""), "{}", resp.body);
-        assert_eq!(metrics.shard_requests(1), 1);
-        assert_eq!(metrics.shard_requests(0), 1);
-        assert_eq!(metrics.global_topk_total(), 1);
+        assert_eq!(metrics.shard_get(1, ShardCounter::Requests), 1);
+        assert_eq!(metrics.shard_get(0, ShardCounter::Requests), 1);
+        assert_eq!(metrics.get(Counter::GlobalTopk), 1);
         // Unknown region in a batch line fails the whole batch, typed.
         req.body = "region=region_z top 1\n".into();
         let (_, resp) = route_uncached(&req, &ctx, &metrics, 1);
@@ -1739,20 +1646,20 @@ mod tests {
         assert_eq!(route, Route::Aggregate);
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert_eq!(
-            resp.body,
+            &*resp.body,
             "{\"groups\":[\
              {\"key\":{\"region\":\"region_a\"},\"count\":2,\"max_risk\":0.9},\
              {\"key\":{\"region\":\"region_b\"},\"count\":2,\"max_risk\":0.7}]}"
         );
-        assert_eq!(metrics.shard_requests(0), 1);
-        assert_eq!(metrics.shard_requests(1), 1);
+        assert_eq!(metrics.shard_get(0, ShardCounter::Requests), 1);
+        assert_eq!(metrics.shard_get(1, ShardCounter::Requests), 1);
         // A degraded shard refuses the whole aggregate, with Retry-After.
         ctx.shards().get("region_b").unwrap().degrade("bad bytes".into());
         let (_, resp) = route_uncached(&post("/aggregate", spec), &ctx, &metrics, 2);
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("\"shards\":[\"region_b\"]"), "{}", resp.body);
         assert_eq!(resp.header("Retry-After"), Some("2"));
-        assert_eq!(metrics.shard_unavailable_total(1), 1);
+        assert_eq!(metrics.shard_get(1, ShardCounter::Unavailable), 1);
     }
 
     #[test]
@@ -1776,7 +1683,7 @@ mod tests {
         let spec = AggregateSpec::parse(spec_body).unwrap();
         let wire = aggregate::parse_partial(&spec, &partial.body).expect("valid partial");
         let (groups, budget) = aggregate::merge_partials(&spec, &[wire]);
-        assert_eq!(full.body, aggregate::render_aggregate(&spec, groups, budget));
+        assert_eq!(&*full.body, aggregate::render_aggregate(&spec, groups, budget));
         // Budget mode over the wire too.
         let budget_body = r#"{"group_by":["region"],"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"}],"budget":{"length_m":250}}"#;
         let (_, full) = route_uncached(&post("/aggregate", budget_body), &ctx, &metrics, 1);
@@ -1787,7 +1694,7 @@ mod tests {
         let spec = AggregateSpec::parse(budget_body).unwrap();
         let wire = aggregate::parse_partial(&spec, &partial.body).expect("valid partial");
         let (groups, b) = aggregate::merge_partials(&spec, &[wire]);
-        assert_eq!(full.body, aggregate::render_aggregate(&spec, groups, b));
+        assert_eq!(&*full.body, aggregate::render_aggregate(&spec, groups, b));
     }
 
     #[test]

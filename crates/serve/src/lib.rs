@@ -65,9 +65,13 @@
 //!   serves `ETag`/`304` revalidation whether or not `PIPEFAIL_CACHE`
 //!   stores anything. `HEAD` is answered by the connection core as the GET
 //!   without its body.
-//! * [`metrics`] — lock-free request counters (including keep-alive reuse
-//!   and reload outcomes) and per-route latency histograms, exposed at
-//!   `/metrics` in Prometheus text exposition format.
+//! * [`metrics`] — lock-free per-route request counters and latency
+//!   histograms, plus two tables that declare every other series once:
+//!   [`Counter`] for the process-wide counters and gauges (connections,
+//!   keep-alive reuse, reloads, cache, federation) and [`ShardCounter`]
+//!   for the per-shard families. Exposed at `/metrics` in Prometheus text
+//!   exposition format; the metrics reference in `docs/SERVING.md` lists
+//!   every series.
 //! * [`federation`] — remote-shard federation: a front-end process that
 //!   routes `?region=K` queries to backend serve processes over keep-alive
 //!   TCP and scatter-gathers the global top-K with the same k-way merge
@@ -104,7 +108,7 @@ pub(crate) mod sys;
 pub use aggregate::{AggField, AggOp, Aggregate, AggregateError, AggregateSpec, GroupKey};
 pub use federation::{serve_federated, BackendState, FedConfig, Federation, FederationError};
 pub use http::{serve, ServeContext, ServerConfig, ServerHandle};
-pub use metrics::Metrics;
+pub use metrics::{Counter, Metrics, ShardCounter};
 pub use parser::{ParseError, ParseOutcome, ParsedRequest};
 pub use scorer::{
     AttributesView, PipeRisk, Query, QueryResult, RiskSlice, RiskSliceIter, SectionInfo, Scorer,

@@ -5,6 +5,12 @@
 //! thread, and the exposition is a consistent-enough point-in-time read
 //! (standard practice for counter scrapes). The exposition format is the
 //! Prometheus text format, so the endpoint can be scraped as-is.
+//!
+//! Past the per-route series, each process-wide counter or gauge is a
+//! [`Counter`] and each per-shard family a [`ShardCounter`]; their
+//! `SERIES` tables give the names, types and exposition order that
+//! [`Metrics::render`] walks. `docs/SERVING.md`'s metrics reference lists
+//! every series.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -28,7 +34,7 @@ pub enum Route {
     /// **excluded** from the request counters/histogram (the connection
     /// core never calls [`Metrics::observe`] for it) so a federation
     /// front-end probing every second does not pollute the serving
-    /// metrics; probes count in [`Metrics::healthz_total`] instead.
+    /// metrics; probes count in [`Counter::Healthz`] instead.
     Healthz,
     /// `GET /top`
     Top,
@@ -83,16 +89,101 @@ impl Route {
     }
 }
 
-/// Per-shard counters for sharded serving: requests routed to the shard,
-/// its reload outcomes, and requests refused because the shard was
-/// degraded. Exposed with a `shard="<region key>"` label.
-#[derive(Debug, Default)]
-struct ShardCounters {
-    label: String,
-    requests: AtomicU64,
-    reloads: AtomicU64,
-    reload_failures: AtomicU64,
-    unavailable: AtomicU64,
+/// A process-wide series of the `/metrics` exposition: a counter, or a
+/// gauge that also falls. [`Counter::SERIES`] gives each its name, its
+/// Prometheus type and its place in the exposition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Currently open connections (gauge).
+    ConnectionsOpen,
+    /// Idle keep-alive connections shed to admit new ones at the cap.
+    ConnectionsShed,
+    /// New connections answered `429` at the cap, none being sheddable.
+    AdmissionRejected,
+    /// Requests after the first on their connection.
+    KeepaliveReuses,
+    /// Successful snapshot hot-reload swaps (all shards).
+    Reloads,
+    /// Snapshot replacements rejected by the strict loader (all shards).
+    ReloadFailures,
+    /// Region-less `/top` scatter-gathers on a sharded server or front end.
+    GlobalTopk,
+    /// `GET /healthz` probes answered — kept out of the request counters
+    /// (see [`Route::Healthz`]).
+    Healthz,
+    /// Result-cache hits: stored bodies served, and `304`s.
+    CacheHits,
+    /// Result-cache misses: cacheable requests the router computed.
+    CacheMisses,
+    /// Entries evicted past the cache byte budget (LRU order).
+    CacheEvictions,
+    /// Requests that waited for an identical in-flight miss's body.
+    CacheCoalescedWaits,
+    /// Resident cache bytes (gauge): bodies + keys + per-entry overhead.
+    CacheResidentBytes,
+    /// Federation: retries after a failed backend request.
+    FedRetries,
+    /// Federation: hedged duplicate requests fired.
+    FedHedges,
+    /// Federation: hedged duplicates that answered before their primary.
+    FedHedgeWins,
+    /// Federation: health probes sent to backends.
+    FedProbes,
+    /// Federation: health probes that got no well-formed answer.
+    FedProbeFailures,
+}
+
+impl Counter {
+    /// Every counter in declaration and exposition order, with its series
+    /// name and Prometheus type. The `pipefail_fed_` series render only on
+    /// a federation front end ([`Metrics::with_backends`]).
+    pub const SERIES: [(Counter, &'static str, &'static str); 18] = [
+        (Counter::ConnectionsOpen, "pipefail_http_connections_open", "gauge"),
+        (Counter::ConnectionsShed, "pipefail_http_connections_shed_total", "counter"),
+        (Counter::AdmissionRejected, "pipefail_http_admission_rejected_total", "counter"),
+        (Counter::KeepaliveReuses, "pipefail_keepalive_reuses_total", "counter"),
+        (Counter::Reloads, "pipefail_reloads_total", "counter"),
+        (Counter::ReloadFailures, "pipefail_reload_failures_total", "counter"),
+        (Counter::GlobalTopk, "pipefail_global_topk_total", "counter"),
+        (Counter::Healthz, "pipefail_healthz_total", "counter"),
+        (Counter::CacheHits, "pipefail_cache_hits_total", "counter"),
+        (Counter::CacheMisses, "pipefail_cache_misses_total", "counter"),
+        (Counter::CacheEvictions, "pipefail_cache_evictions_total", "counter"),
+        (Counter::CacheCoalescedWaits, "pipefail_cache_coalesced_waits_total", "counter"),
+        (Counter::CacheResidentBytes, "pipefail_cache_resident_bytes", "gauge"),
+        (Counter::FedRetries, "pipefail_fed_retries_total", "counter"),
+        (Counter::FedHedges, "pipefail_fed_hedges_total", "counter"),
+        (Counter::FedHedgeWins, "pipefail_fed_hedge_wins_total", "counter"),
+        (Counter::FedProbes, "pipefail_fed_probes_total", "counter"),
+        (Counter::FedProbeFailures, "pipefail_fed_probe_failures_total", "counter"),
+    ];
+}
+
+/// A per-shard counter family, rendered with one `shard="<region key>"`
+/// series per shard of a sharded server or backend of a federation front
+/// end. [`ShardCounter::SERIES`] names each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardCounter {
+    /// Requests routed to the shard (each `/batch` line counts
+    /// separately).
+    Requests,
+    /// Successful hot-reloads of the shard.
+    Reloads,
+    /// Rejected snapshot replacements on the shard.
+    ReloadFailures,
+    /// Requests refused because the shard was degraded or its backend failed.
+    Unavailable,
+}
+
+impl ShardCounter {
+    /// Every family in declaration and exposition order, with its series
+    /// name; all are counters.
+    pub const SERIES: [(ShardCounter, &'static str); 4] = [
+        (ShardCounter::Requests, "pipefail_shard_requests"),
+        (ShardCounter::Reloads, "pipefail_shard_reloads"),
+        (ShardCounter::ReloadFailures, "pipefail_shard_reload_failures"),
+        (ShardCounter::Unavailable, "pipefail_shard_unavailable"),
+    ];
 }
 
 /// One per-route latency histogram in seconds: `DURATION_BUCKETS_S` +
@@ -112,57 +203,17 @@ pub struct Metrics {
     /// Per-route request-duration histograms
     /// (`pipefail_http_request_duration_seconds{route=...}`).
     durations: [DurationHisto; 10],
-    /// Currently open connections (gauge).
-    connections_open: AtomicU64,
-    /// Idle keep-alive connections closed to admit new ones at the
-    /// connection cap (admission control).
-    connections_shed: AtomicU64,
-    /// Connections answered `429` at the connection cap (admission
-    /// control).
-    admission_rejected: AtomicU64,
     /// Status classes 1xx..5xx.
     by_status: [AtomicU64; 5],
-    /// Requests served on an already-used connection (request ≥ 2 on its
-    /// socket) — the payoff of keep-alive.
-    keepalive_reuses: AtomicU64,
-    /// Successful snapshot hot-reload swaps (all shards).
-    reloads_total: AtomicU64,
-    /// Snapshot replacements rejected by the strict loader (all shards).
-    reload_failures_total: AtomicU64,
-    /// Region-less `/top` scatter-gathers on a sharded server.
-    global_topk: AtomicU64,
-    /// `GET /healthz` probes answered — kept out of the request counters
-    /// (see [`Route::Healthz`]).
-    healthz: AtomicU64,
-    /// Result-cache hits: responses served from a stored rendered body
-    /// (including `304`s answered from the epoch-derived `ETag` alone).
-    cache_hits: AtomicU64,
-    /// Result-cache misses: cacheable requests computed by the router
-    /// (single-flight leaders and fallbacks).
-    cache_misses: AtomicU64,
-    /// Entries evicted past the cache byte budget (LRU order).
-    cache_evictions: AtomicU64,
-    /// Requests that blocked on another request's identical in-flight
-    /// miss and reused its body instead of recomputing.
-    cache_coalesced_waits: AtomicU64,
-    /// Resident cache bytes (gauge): bodies + keys + per-entry overhead.
-    cache_resident_bytes: AtomicU64,
-    /// Federation only: retry attempts after a failed backend request.
-    fed_retries: AtomicU64,
-    /// Federation only: hedged duplicate requests fired.
-    fed_hedges: AtomicU64,
-    /// Federation only: hedged duplicates that finished before the primary.
-    fed_hedge_wins: AtomicU64,
-    /// Federation only: health probes sent.
-    fed_probes: AtomicU64,
-    /// Federation only: health probes that failed.
-    fed_probe_failures: AtomicU64,
-    /// True when this server is a federation front-end: the `fed_*`
-    /// counters render (and the shard series are labelled per backend).
+    /// One slot per [`Counter`], indexed by its discriminant.
+    counters: [AtomicU64; Counter::SERIES.len()],
+    /// True when this server is a federation front-end: the
+    /// `pipefail_fed_` series render (and the shard series are labelled
+    /// per backend).
     federated: bool,
-    /// One entry per shard, in shard-set (routing-key) order; empty for a
-    /// plain `Metrics::new()`.
-    shards: Vec<ShardCounters>,
+    /// One `(label, slot per ShardCounter)` entry per shard, in shard-set
+    /// (routing-key) order; empty for a plain `Metrics::new()`.
+    shards: Vec<(String, [AtomicU64; ShardCounter::SERIES.len()])>,
 }
 
 impl Metrics {
@@ -172,17 +223,11 @@ impl Metrics {
     }
 
     /// Fresh zeroed metrics with one `shard="<label>"` series per shard,
-    /// in shard-set order (indices passed to the `shard_*` methods are
+    /// in shard-set order (indices passed to [`Metrics::shard_add`] are
     /// positions in this list).
     pub fn with_shards(labels: Vec<String>) -> Self {
         Self {
-            shards: labels
-                .into_iter()
-                .map(|label| ShardCounters {
-                    label,
-                    ..ShardCounters::default()
-                })
-                .collect(),
+            shards: labels.into_iter().map(|label| (label, Default::default())).collect(),
             ..Self::default()
         }
     }
@@ -215,42 +260,6 @@ impl Metrics {
         histo.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one connection opened.
-    pub fn conn_opened(&self) {
-        self.connections_open.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one connection closed.
-    pub fn conn_closed(&self) {
-        self.connections_open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Currently open connections.
-    pub fn connections_open(&self) -> u64 {
-        self.connections_open.load(Ordering::Relaxed)
-    }
-
-    /// Record one idle keep-alive connection shed at the connection cap.
-    pub fn connection_shed(&self) {
-        self.connections_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Idle connections shed so far.
-    pub fn connections_shed_total(&self) -> u64 {
-        self.connections_shed.load(Ordering::Relaxed)
-    }
-
-    /// Record one new connection answered `429` at the connection cap
-    /// because no open connection was sheddable.
-    pub fn admission_rejected(&self) {
-        self.admission_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admission-control rejections so far.
-    pub fn admission_rejected_total(&self) -> u64 {
-        self.admission_rejected.load(Ordering::Relaxed)
-    }
-
     /// Total requests handled so far.
     pub fn total(&self) -> u64 {
         self.total.load(Ordering::Relaxed)
@@ -261,213 +270,78 @@ impl Metrics {
         self.by_route[route.index()].load(Ordering::Relaxed)
     }
 
-    /// Record one request answered on an already-used (kept-alive)
-    /// connection.
-    pub fn keepalive_reuse(&self) {
-        self.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests served on reused connections so far.
-    pub fn keepalive_reuses(&self) -> u64 {
-        self.keepalive_reuses.load(Ordering::Relaxed)
-    }
-
-    /// Record one successful snapshot hot-reload.
-    pub fn reload_ok(&self) {
-        self.reloads_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one rejected snapshot replacement.
-    pub fn reload_failed(&self) {
-        self.reload_failures_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Successful hot-reload swaps so far.
-    pub fn reloads_total(&self) -> u64 {
-        self.reloads_total.load(Ordering::Relaxed)
-    }
-
-    /// Rejected snapshot replacements so far.
-    pub fn reload_failures_total(&self) -> u64 {
-        self.reload_failures_total.load(Ordering::Relaxed)
-    }
-
-    /// Record one request routed to shard `idx` (each `/batch` line counts
-    /// separately). Out-of-range indices are ignored — metrics must never
-    /// take a request down.
-    pub fn shard_request(&self, idx: usize) {
-        if let Some(s) = self.shards.get(idx) {
-            s.requests.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one successful hot-reload of shard `idx`; also counts in the
-    /// aggregate [`Metrics::reloads_total`].
-    pub fn shard_reload_ok(&self, idx: usize) {
-        self.reload_ok();
-        if let Some(s) = self.shards.get(idx) {
-            s.reloads.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one rejected snapshot replacement on shard `idx`; also
-    /// counts in the aggregate [`Metrics::reload_failures_total`].
-    pub fn shard_reload_failed(&self, idx: usize) {
-        self.reload_failed();
-        if let Some(s) = self.shards.get(idx) {
-            s.reload_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one request refused with `503` because shard `idx` was
-    /// degraded.
-    pub fn shard_unavailable(&self, idx: usize) {
-        if let Some(s) = self.shards.get(idx) {
-            s.unavailable.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Requests routed to shard `idx` so far.
-    pub fn shard_requests(&self, idx: usize) -> u64 {
-        self.shards
-            .get(idx)
-            .map_or(0, |s| s.requests.load(Ordering::Relaxed))
-    }
-
-    /// Requests refused because shard `idx` was degraded, so far.
-    pub fn shard_unavailable_total(&self, idx: usize) -> u64 {
-        self.shards
-            .get(idx)
-            .map_or(0, |s| s.unavailable.load(Ordering::Relaxed))
-    }
-
-    /// Record one region-less scatter-gather global top-K.
-    pub fn global_topk(&self) {
-        self.global_topk.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Scatter-gather global top-K requests so far.
-    pub fn global_topk_total(&self) -> u64 {
-        self.global_topk.load(Ordering::Relaxed)
-    }
-
-    /// Record one answered `GET /healthz` probe (kept out of the request
-    /// counters — see [`Route::Healthz`]).
-    pub fn healthz(&self) {
-        self.healthz.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `GET /healthz` probes answered so far.
-    pub fn healthz_total(&self) -> u64 {
-        self.healthz.load(Ordering::Relaxed)
-    }
-
-    /// Record one result-cache hit (stored body served, or a `304`
-    /// answered from the epoch-derived `ETag`).
-    pub fn cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Result-cache hits so far.
-    pub fn cache_hits_total(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Record one result-cache miss (request computed by the router).
-    pub fn cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Result-cache misses so far.
-    pub fn cache_misses_total(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Record `n` entries evicted past the cache byte budget.
-    pub fn cache_evicted(&self, n: u64) {
-        if n > 0 {
-            self.cache_evictions.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Result-cache evictions so far.
-    pub fn cache_evictions_total(&self) -> u64 {
-        self.cache_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Record one request coalesced onto another's in-flight miss.
-    pub fn cache_coalesced(&self) {
-        self.cache_coalesced_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Coalesced waits so far.
-    pub fn cache_coalesced_waits_total(&self) -> u64 {
-        self.cache_coalesced_waits.load(Ordering::Relaxed)
-    }
-
-    /// Adjust the resident-bytes gauge by a signed delta (stores and
-    /// evictions report their net effect; two's-complement wrapping keeps
-    /// the running sum exact as long as it never goes negative, which the
-    /// cache guarantees by accounting every byte it frees).
-    pub fn cache_resident_delta(&self, delta: i64) {
+    /// Move `counter` by `delta`. Only a gauge is ever given a negative
+    /// delta; two's-complement wrapping keeps its running sum exact as
+    /// long as the sum never goes negative, which its callers guarantee
+    /// (every connection closed was opened, every cache byte freed was
+    /// stored).
+    pub fn add(&self, counter: Counter, delta: i64) {
         if delta != 0 {
-            self.cache_resident_bytes.fetch_add(delta as u64, Ordering::Relaxed);
+            self.counters[counter as usize].fetch_add(delta as u64, Ordering::Relaxed);
         }
     }
 
-    /// Resident result-cache bytes right now.
-    pub fn cache_resident_bytes(&self) -> u64 {
-        self.cache_resident_bytes.load(Ordering::Relaxed)
+    /// `counter`'s value now.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
-    /// Record one federation retry (a repeat attempt after a failed
-    /// backend request, not the first attempt).
-    pub fn fed_retry(&self) {
-        self.fed_retries.fetch_add(1, Ordering::Relaxed);
+    /// Count one event of `counter` on shard `idx`. Out-of-range indices
+    /// are ignored — metrics must never take a request down.
+    pub fn shard_add(&self, idx: usize, counter: ShardCounter) {
+        if let Some((_, slots)) = self.shards.get(idx) {
+            slots[counter as usize].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
-    /// Federation retries so far.
+    /// `counter`'s value on shard `idx` now (0 for an out-of-range index).
+    pub fn shard_get(&self, idx: usize, counter: ShardCounter) -> u64 {
+        self.shards.get(idx).map_or(0, |(_, slots)| slots[counter as usize].load(Ordering::Relaxed))
+    }
+
+    /// [`Counter::Reloads`] now.
+    pub fn reloads_total(&self) -> u64 {
+        self.get(Counter::Reloads)
+    }
+
+    /// [`Counter::ReloadFailures`] now.
+    pub fn reload_failures_total(&self) -> u64 {
+        self.get(Counter::ReloadFailures)
+    }
+
+    /// [`Counter::CacheHits`] now.
+    pub fn cache_hits_total(&self) -> u64 {
+        self.get(Counter::CacheHits)
+    }
+
+    /// [`Counter::CacheMisses`] now.
+    pub fn cache_misses_total(&self) -> u64 {
+        self.get(Counter::CacheMisses)
+    }
+
+    /// [`Counter::CacheEvictions`] now.
+    pub fn cache_evictions_total(&self) -> u64 {
+        self.get(Counter::CacheEvictions)
+    }
+
+    /// [`Counter::CacheCoalescedWaits`] now.
+    pub fn cache_coalesced_waits_total(&self) -> u64 {
+        self.get(Counter::CacheCoalescedWaits)
+    }
+
+    /// [`Counter::FedRetries`] now.
     pub fn fed_retries_total(&self) -> u64 {
-        self.fed_retries.load(Ordering::Relaxed)
+        self.get(Counter::FedRetries)
     }
 
-    /// Record one hedged duplicate request fired after the hedge delay.
-    pub fn fed_hedge(&self) {
-        self.fed_hedges.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Hedged duplicates fired so far.
+    /// [`Counter::FedHedges`] now.
     pub fn fed_hedges_total(&self) -> u64 {
-        self.fed_hedges.load(Ordering::Relaxed)
+        self.get(Counter::FedHedges)
     }
 
-    /// Record one hedged duplicate that answered before its primary.
-    pub fn fed_hedge_win(&self) {
-        self.fed_hedge_wins.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Hedge wins so far.
+    /// [`Counter::FedHedgeWins`] now.
     pub fn fed_hedge_wins_total(&self) -> u64 {
-        self.fed_hedge_wins.load(Ordering::Relaxed)
-    }
-
-    /// Record one health probe sent to a backend; `ok` is whether the
-    /// backend answered a well-formed response.
-    pub fn fed_probe(&self, ok: bool) {
-        self.fed_probes.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.fed_probe_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Health probes sent so far.
-    pub fn fed_probes_total(&self) -> u64 {
-        self.fed_probes.load(Ordering::Relaxed)
-    }
-
-    /// Health probes that failed so far.
-    pub fn fed_probe_failures_total(&self) -> u64 {
-        self.fed_probe_failures.load(Ordering::Relaxed)
+        self.get(Counter::FedHedgeWins)
     }
 
     /// Render the Prometheus text exposition.
@@ -515,121 +389,20 @@ impl Metrics {
                 histo.count.load(Ordering::Relaxed)
             ));
         }
-        out.push_str("# TYPE pipefail_http_connections_open gauge\n");
-        out.push_str(&format!(
-            "pipefail_http_connections_open {}\n",
-            self.connections_open()
-        ));
-        out.push_str("# TYPE pipefail_http_connections_shed_total counter\n");
-        out.push_str(&format!(
-            "pipefail_http_connections_shed_total {}\n",
-            self.connections_shed_total()
-        ));
-        out.push_str("# TYPE pipefail_http_admission_rejected_total counter\n");
-        out.push_str(&format!(
-            "pipefail_http_admission_rejected_total {}\n",
-            self.admission_rejected_total()
-        ));
-        out.push_str("# TYPE pipefail_keepalive_reuses_total counter\n");
-        out.push_str(&format!(
-            "pipefail_keepalive_reuses_total {}\n",
-            self.keepalive_reuses()
-        ));
-        out.push_str("# TYPE pipefail_reloads_total counter\n");
-        out.push_str(&format!("pipefail_reloads_total {}\n", self.reloads_total()));
-        out.push_str("# TYPE pipefail_reload_failures_total counter\n");
-        out.push_str(&format!(
-            "pipefail_reload_failures_total {}\n",
-            self.reload_failures_total()
-        ));
-        out.push_str("# TYPE pipefail_global_topk_total counter\n");
-        out.push_str(&format!(
-            "pipefail_global_topk_total {}\n",
-            self.global_topk_total()
-        ));
-        out.push_str("# TYPE pipefail_healthz_total counter\n");
-        out.push_str(&format!("pipefail_healthz_total {}\n", self.healthz_total()));
-        out.push_str("# TYPE pipefail_cache_hits_total counter\n");
-        out.push_str(&format!("pipefail_cache_hits_total {}\n", self.cache_hits_total()));
-        out.push_str("# TYPE pipefail_cache_misses_total counter\n");
-        out.push_str(&format!(
-            "pipefail_cache_misses_total {}\n",
-            self.cache_misses_total()
-        ));
-        out.push_str("# TYPE pipefail_cache_evictions_total counter\n");
-        out.push_str(&format!(
-            "pipefail_cache_evictions_total {}\n",
-            self.cache_evictions_total()
-        ));
-        out.push_str("# TYPE pipefail_cache_coalesced_waits_total counter\n");
-        out.push_str(&format!(
-            "pipefail_cache_coalesced_waits_total {}\n",
-            self.cache_coalesced_waits_total()
-        ));
-        out.push_str("# TYPE pipefail_cache_resident_bytes gauge\n");
-        out.push_str(&format!(
-            "pipefail_cache_resident_bytes {}\n",
-            self.cache_resident_bytes()
-        ));
-        if self.federated {
-            out.push_str("# TYPE pipefail_fed_retries_total counter\n");
-            out.push_str(&format!(
-                "pipefail_fed_retries_total {}\n",
-                self.fed_retries_total()
-            ));
-            out.push_str("# TYPE pipefail_fed_hedges_total counter\n");
-            out.push_str(&format!(
-                "pipefail_fed_hedges_total {}\n",
-                self.fed_hedges_total()
-            ));
-            out.push_str("# TYPE pipefail_fed_hedge_wins_total counter\n");
-            out.push_str(&format!(
-                "pipefail_fed_hedge_wins_total {}\n",
-                self.fed_hedge_wins_total()
-            ));
-            out.push_str("# TYPE pipefail_fed_probes_total counter\n");
-            out.push_str(&format!(
-                "pipefail_fed_probes_total {}\n",
-                self.fed_probes_total()
-            ));
-            out.push_str("# TYPE pipefail_fed_probe_failures_total counter\n");
-            out.push_str(&format!(
-                "pipefail_fed_probe_failures_total {}\n",
-                self.fed_probe_failures_total()
-            ));
+        for (counter, name, kind) in Counter::SERIES {
+            if self.federated || !name.starts_with("pipefail_fed_") {
+                out.push_str(&format!("# TYPE {name} {kind}\n{name} {}\n", self.get(counter)));
+            }
         }
         if !self.shards.is_empty() {
-            out.push_str("# TYPE pipefail_shard_requests counter\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "pipefail_shard_requests{{shard=\"{}\"}} {}\n",
-                    s.label,
-                    s.requests.load(Ordering::Relaxed)
-                ));
-            }
-            out.push_str("# TYPE pipefail_shard_reloads counter\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "pipefail_shard_reloads{{shard=\"{}\"}} {}\n",
-                    s.label,
-                    s.reloads.load(Ordering::Relaxed)
-                ));
-            }
-            out.push_str("# TYPE pipefail_shard_reload_failures counter\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "pipefail_shard_reload_failures{{shard=\"{}\"}} {}\n",
-                    s.label,
-                    s.reload_failures.load(Ordering::Relaxed)
-                ));
-            }
-            out.push_str("# TYPE pipefail_shard_unavailable counter\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "pipefail_shard_unavailable{{shard=\"{}\"}} {}\n",
-                    s.label,
-                    s.unavailable.load(Ordering::Relaxed)
-                ));
+            for (counter, name) in ShardCounter::SERIES {
+                out.push_str(&format!("# TYPE {name} counter\n"));
+                for (label, slots) in &self.shards {
+                    out.push_str(&format!(
+                        "{name}{{shard=\"{label}\"}} {}\n",
+                        slots[counter as usize].load(Ordering::Relaxed)
+                    ));
+                }
             }
         }
         out
@@ -699,20 +472,23 @@ mod tests {
     #[test]
     fn shard_series_render_with_labels_and_feed_aggregates() {
         let m = Metrics::with_shards(vec!["region_a".into(), "region_b".into()]);
-        m.shard_request(0);
-        m.shard_request(0);
-        m.shard_request(1);
-        m.shard_reload_ok(1);
-        m.shard_reload_failed(0);
-        m.shard_unavailable(0);
-        m.global_topk();
+        m.shard_add(0, ShardCounter::Requests);
+        m.shard_add(0, ShardCounter::Requests);
+        m.shard_add(1, ShardCounter::Requests);
+        m.add(Counter::Reloads, 1);
+        m.shard_add(1, ShardCounter::Reloads);
+        m.add(Counter::ReloadFailures, 1);
+        m.shard_add(0, ShardCounter::ReloadFailures);
+        m.shard_add(0, ShardCounter::Unavailable);
+        m.add(Counter::GlobalTopk, 1);
         // Out-of-range indices are ignored, never panic.
-        m.shard_request(99);
-        m.shard_reload_ok(99);
-        assert_eq!(m.shard_requests(0), 2);
-        assert_eq!(m.shard_requests(1), 1);
-        assert_eq!(m.shard_unavailable_total(0), 1);
-        assert_eq!(m.global_topk_total(), 1);
+        m.shard_add(99, ShardCounter::Requests);
+        m.add(Counter::Reloads, 1);
+        m.shard_add(99, ShardCounter::Reloads);
+        assert_eq!(m.shard_get(0, ShardCounter::Requests), 2);
+        assert_eq!(m.shard_get(1, ShardCounter::Requests), 1);
+        assert_eq!(m.shard_get(0, ShardCounter::Unavailable), 1);
+        assert_eq!(m.get(Counter::GlobalTopk), 1);
         // Per-shard reload outcomes also count in the aggregates the
         // single-snapshot dashboards already scrape.
         assert_eq!(m.reloads_total(), 2); // 1 for shard 1 + 1 out-of-range
@@ -731,9 +507,9 @@ mod tests {
     #[test]
     fn healthz_counts_outside_request_metrics() {
         let m = Metrics::new();
-        m.healthz();
-        m.healthz();
-        assert_eq!(m.healthz_total(), 2);
+        m.add(Counter::Healthz, 1);
+        m.add(Counter::Healthz, 1);
+        assert_eq!(m.get(Counter::Healthz), 2);
         // Probes never touch the request counters.
         assert_eq!(m.total(), 0);
         assert_eq!(m.route_count(Route::Healthz), 0);
@@ -743,18 +519,20 @@ mod tests {
     #[test]
     fn federation_counters_render_only_on_federated_metrics() {
         let m = Metrics::with_backends(vec!["region_a".into(), "region_b".into()]);
-        m.fed_retry();
-        m.fed_hedge();
-        m.fed_hedge();
-        m.fed_hedge_win();
-        m.fed_probe(true);
-        m.fed_probe(false);
-        m.fed_probe(false);
+        m.add(Counter::FedRetries, 1);
+        m.add(Counter::FedHedges, 1);
+        m.add(Counter::FedHedges, 1);
+        m.add(Counter::FedHedgeWins, 1);
+        m.add(Counter::FedProbes, 1);
+        m.add(Counter::FedProbes, 1);
+        m.add(Counter::FedProbeFailures, 1);
+        m.add(Counter::FedProbes, 1);
+        m.add(Counter::FedProbeFailures, 1);
         assert_eq!(m.fed_retries_total(), 1);
         assert_eq!(m.fed_hedges_total(), 2);
         assert_eq!(m.fed_hedge_wins_total(), 1);
-        assert_eq!(m.fed_probes_total(), 3);
-        assert_eq!(m.fed_probe_failures_total(), 2);
+        assert_eq!(m.get(Counter::FedProbes), 3);
+        assert_eq!(m.get(Counter::FedProbeFailures), 2);
         let text = m.render();
         assert!(text.contains("pipefail_fed_retries_total 1"));
         assert!(text.contains("pipefail_fed_hedges_total 2"));
@@ -762,7 +540,7 @@ mod tests {
         assert!(text.contains("pipefail_fed_probes_total 3"));
         assert!(text.contains("pipefail_fed_probe_failures_total 2"));
         // Backends reuse the per-shard series, labelled by region key.
-        m.shard_request(1);
+        m.shard_add(1, ShardCounter::Requests);
         assert!(m.render().contains("pipefail_shard_requests{shard=\"region_b\"} 1"));
         // Non-federated expositions never mention the fed counters.
         assert!(!Metrics::with_shards(vec!["x".into()]).render().contains("pipefail_fed_"));
@@ -799,16 +577,16 @@ mod tests {
     #[test]
     fn connection_gauges_and_admission_counters() {
         let m = Metrics::new();
-        m.conn_opened();
-        m.conn_opened();
-        m.conn_opened();
-        m.conn_closed();
-        m.connection_shed();
-        m.admission_rejected();
-        m.admission_rejected();
-        assert_eq!(m.connections_open(), 2);
-        assert_eq!(m.connections_shed_total(), 1);
-        assert_eq!(m.admission_rejected_total(), 2);
+        m.add(Counter::ConnectionsOpen, 1);
+        m.add(Counter::ConnectionsOpen, 1);
+        m.add(Counter::ConnectionsOpen, 1);
+        m.add(Counter::ConnectionsOpen, -1);
+        m.add(Counter::ConnectionsShed, 1);
+        m.add(Counter::AdmissionRejected, 1);
+        m.add(Counter::AdmissionRejected, 1);
+        assert_eq!(m.get(Counter::ConnectionsOpen), 2);
+        assert_eq!(m.get(Counter::ConnectionsShed), 1);
+        assert_eq!(m.get(Counter::AdmissionRejected), 2);
         let text = m.render();
         assert!(text.contains("pipefail_http_connections_open 2"));
         assert!(text.contains("pipefail_http_connections_shed_total 1"));
@@ -818,17 +596,149 @@ mod tests {
     #[test]
     fn keepalive_and_reload_counters_accumulate() {
         let m = Metrics::new();
-        m.keepalive_reuse();
-        m.keepalive_reuse();
-        m.reload_ok();
-        m.reload_failed();
-        m.reload_failed();
-        assert_eq!(m.keepalive_reuses(), 2);
+        m.add(Counter::KeepaliveReuses, 1);
+        m.add(Counter::KeepaliveReuses, 1);
+        m.add(Counter::Reloads, 1);
+        m.add(Counter::ReloadFailures, 1);
+        m.add(Counter::ReloadFailures, 1);
+        assert_eq!(m.get(Counter::KeepaliveReuses), 2);
         assert_eq!(m.reloads_total(), 1);
         assert_eq!(m.reload_failures_total(), 2);
         let text = m.render();
         assert!(text.contains("pipefail_keepalive_reuses_total 2"));
         assert!(text.contains("pipefail_reloads_total 1"));
         assert!(text.contains("pipefail_reload_failures_total 2"));
+    }
+
+    #[test]
+    fn series_tables_follow_declaration_order() {
+        // Slots are indexed by discriminant and rendered in table order:
+        // listing each discriminant once, in order, renders every slot
+        // once under its own name.
+        for (i, (counter, ..)) in Counter::SERIES.iter().enumerate() {
+            assert_eq!(*counter as usize, i, "{counter:?}");
+        }
+        for (i, (counter, _)) in ShardCounter::SERIES.iter().enumerate() {
+            assert_eq!(*counter as usize, i, "{counter:?}");
+        }
+    }
+
+    /// Everything `render()` writes after the duration histogram, for one
+    /// fixed sequence through every series, byte for byte. The expected
+    /// text was produced by the per-series implementation this table
+    /// replaced.
+    #[test]
+    fn golden_exposition_after_the_histogram() {
+        let m = Metrics::with_backends(vec!["region_a".into(), "region_b".into()]);
+        let times = |n: u32, f: &dyn Fn()| (0..n).for_each(|_| f());
+        times(7, &|| m.add(Counter::ConnectionsOpen, 1));
+        times(5, &|| m.add(Counter::ConnectionsOpen, -1));
+        times(3, &|| m.add(Counter::ConnectionsShed, 1));
+        times(4, &|| m.add(Counter::AdmissionRejected, 1));
+        times(5, &|| m.add(Counter::KeepaliveReuses, 1));
+        times(3, &|| m.add(Counter::Reloads, 1));
+        m.add(Counter::Reloads, 1);
+        m.shard_add(0, ShardCounter::Reloads);
+        times(2, &|| {
+            m.add(Counter::Reloads, 1);
+            m.shard_add(1, ShardCounter::Reloads);
+        });
+        times(4, &|| m.add(Counter::ReloadFailures, 1));
+        times(3, &|| {
+            m.add(Counter::ReloadFailures, 1);
+            m.shard_add(1, ShardCounter::ReloadFailures);
+        });
+        times(8, &|| m.add(Counter::GlobalTopk, 1));
+        times(9, &|| m.add(Counter::Healthz, 1));
+        times(10, &|| m.add(Counter::CacheHits, 1));
+        times(11, &|| m.add(Counter::CacheMisses, 1));
+        m.add(Counter::CacheEvictions, 12);
+        m.add(Counter::CacheEvictions, 0);
+        times(13, &|| m.add(Counter::CacheCoalescedWaits, 1));
+        m.add(Counter::CacheResidentBytes, 1000);
+        m.add(Counter::CacheResidentBytes, -986);
+        m.add(Counter::CacheResidentBytes, 0);
+        times(15, &|| m.add(Counter::FedRetries, 1));
+        times(16, &|| m.add(Counter::FedHedges, 1));
+        times(17, &|| m.add(Counter::FedHedgeWins, 1));
+        m.add(Counter::FedProbes, 1);
+        times(18, &|| {
+            m.add(Counter::FedProbes, 1);
+            m.add(Counter::FedProbeFailures, 1);
+        });
+        times(21, &|| m.shard_add(0, ShardCounter::Requests));
+        times(22, &|| m.shard_add(1, ShardCounter::Requests));
+        times(23, &|| m.shard_add(0, ShardCounter::Unavailable));
+        times(24, &|| m.shard_add(1, ShardCounter::Unavailable));
+        m.shard_add(2, ShardCounter::Requests);
+        m.shard_add(99, ShardCounter::Unavailable);
+        let text = m.render();
+        let (_, tail) = text
+            .split_once("pipefail_http_request_duration_seconds_count{route=\"other\"} 0\n")
+            .expect("the histogram renders before the counters");
+        assert_eq!(
+            tail,
+            r#"# TYPE pipefail_http_connections_open gauge
+pipefail_http_connections_open 2
+# TYPE pipefail_http_connections_shed_total counter
+pipefail_http_connections_shed_total 3
+# TYPE pipefail_http_admission_rejected_total counter
+pipefail_http_admission_rejected_total 4
+# TYPE pipefail_keepalive_reuses_total counter
+pipefail_keepalive_reuses_total 5
+# TYPE pipefail_reloads_total counter
+pipefail_reloads_total 6
+# TYPE pipefail_reload_failures_total counter
+pipefail_reload_failures_total 7
+# TYPE pipefail_global_topk_total counter
+pipefail_global_topk_total 8
+# TYPE pipefail_healthz_total counter
+pipefail_healthz_total 9
+# TYPE pipefail_cache_hits_total counter
+pipefail_cache_hits_total 10
+# TYPE pipefail_cache_misses_total counter
+pipefail_cache_misses_total 11
+# TYPE pipefail_cache_evictions_total counter
+pipefail_cache_evictions_total 12
+# TYPE pipefail_cache_coalesced_waits_total counter
+pipefail_cache_coalesced_waits_total 13
+# TYPE pipefail_cache_resident_bytes gauge
+pipefail_cache_resident_bytes 14
+# TYPE pipefail_fed_retries_total counter
+pipefail_fed_retries_total 15
+# TYPE pipefail_fed_hedges_total counter
+pipefail_fed_hedges_total 16
+# TYPE pipefail_fed_hedge_wins_total counter
+pipefail_fed_hedge_wins_total 17
+# TYPE pipefail_fed_probes_total counter
+pipefail_fed_probes_total 19
+# TYPE pipefail_fed_probe_failures_total counter
+pipefail_fed_probe_failures_total 18
+# TYPE pipefail_shard_requests counter
+pipefail_shard_requests{shard="region_a"} 21
+pipefail_shard_requests{shard="region_b"} 22
+# TYPE pipefail_shard_reloads counter
+pipefail_shard_reloads{shard="region_a"} 1
+pipefail_shard_reloads{shard="region_b"} 2
+# TYPE pipefail_shard_reload_failures counter
+pipefail_shard_reload_failures{shard="region_a"} 0
+pipefail_shard_reload_failures{shard="region_b"} 3
+# TYPE pipefail_shard_unavailable counter
+pipefail_shard_unavailable{shard="region_a"} 23
+pipefail_shard_unavailable{shard="region_b"} 24
+"#
+        );
+    }
+
+    #[test]
+    fn metrics_reference_names_every_series() {
+        let doc = include_str!("../../../docs/SERVING.md");
+        let (_, reference) = doc.split_once("\n## Metrics reference\n").expect("section");
+        let reference = reference.split("\n## ").next().unwrap_or_default();
+        let names = Counter::SERIES.iter().map(|s| s.1);
+        for name in names.chain(ShardCounter::SERIES.iter().map(|s| s.1)) {
+            let row = format!("\n| `{name}` |");
+            assert!(reference.contains(&row), "the metrics reference lacks `{name}`");
+        }
     }
 }

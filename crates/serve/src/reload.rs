@@ -58,7 +58,7 @@
 //! [`ReloadPolicy::Degrade`]: crate::shards::ReloadPolicy::Degrade
 
 use crate::http::ServeContext;
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics, ShardCounter};
 use crate::scorer::Scorer;
 use crate::shards::ReloadPolicy;
 use std::path::{Path, PathBuf};
@@ -149,7 +149,8 @@ pub(crate) fn spawn_watcher(
                 match Scorer::load(path) {
                     Ok(scorer) => {
                         let fresh = shard.swap(scorer);
-                        metrics.shard_reload_ok(idx);
+                        metrics.add(Counter::Reloads, 1);
+                        metrics.shard_add(idx, ShardCounter::Reloads);
                         eprintln!(
                             "pipefail-serve: reloaded snapshot {}: shard {:?} now serving {}",
                             path.display(),
@@ -158,7 +159,8 @@ pub(crate) fn spawn_watcher(
                         );
                     }
                     Err(e) => {
-                        metrics.shard_reload_failed(idx);
+                        metrics.add(Counter::ReloadFailures, 1);
+                        metrics.shard_add(idx, ShardCounter::ReloadFailures);
                         match policy {
                             ReloadPolicy::KeepLastGood => eprintln!(
                                 "pipefail-serve: rejected snapshot {}: {e}; keeping previous scorer",

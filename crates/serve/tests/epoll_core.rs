@@ -30,7 +30,8 @@ use pipefail_core::snapshot::Snapshot;
 use pipefail_network::ids::PipeId;
 use pipefail_serve::http::render_pipe_risk;
 use pipefail_serve::{
-    serve, serve_federated, FedConfig, Federation, Scorer, ServeContext, ServerConfig, ServerHandle,
+    serve, serve_federated, Counter, FedConfig, Federation, Scorer, ServeContext, ServerConfig,
+    ServerHandle,
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -209,7 +210,7 @@ fn epoll_core_serves_byte_at_a_time_writes() {
 }
 
 /// At the connection cap the longest-idle keep-alive connection is shed
-/// (quiet close, `connections_shed_total` counted, the open-connection
+/// (quiet close, `Counter::ConnectionsShed` counted, the open-connection
 /// gauge tracking it) so the newcomer gets service — idle clients lose a
 /// socket they weren't using, live clients lose nothing.
 #[test]
@@ -228,10 +229,10 @@ fn cap_sheds_longest_idle_connection_for_newcomer() {
     assert_eq!(third.get("/top?k=1").status, 200);
 
     let metrics = server.metrics();
-    assert_eq!(metrics.connections_shed_total(), 1);
-    assert_eq!(metrics.admission_rejected_total(), 0);
+    assert_eq!(metrics.get(Counter::ConnectionsShed), 1);
+    assert_eq!(metrics.get(Counter::AdmissionRejected), 0);
     // The gauge counted the shed connection out and the newcomer in.
-    assert_eq!(metrics.connections_open(), 2);
+    assert_eq!(metrics.get(Counter::ConnectionsOpen), 2);
     assert_eq!(metrics.total(), 3);
 
     // The shed connection sees a quiet close: EOF, not an error response.
@@ -267,8 +268,8 @@ fn cap_answers_429_when_nothing_is_sheddable() {
     rejected.assert_eof();
 
     let metrics = server.metrics();
-    assert_eq!(metrics.admission_rejected_total(), 1);
-    assert_eq!(metrics.connections_shed_total(), 0);
+    assert_eq!(metrics.get(Counter::AdmissionRejected), 1);
+    assert_eq!(metrics.get(Counter::ConnectionsShed), 0);
     server.shutdown();
 }
 
@@ -395,10 +396,10 @@ fn open_connection_gauge_returns_to_zero_under_concurrent_closers() {
         .collect();
     let metrics = server.metrics();
     let deadline = Instant::now() + Duration::from_secs(3);
-    while metrics.connections_open() != 0 && Instant::now() < deadline {
+    while metrics.get(Counter::ConnectionsOpen) != 0 && Instant::now() < deadline {
         sleep(Duration::from_millis(10));
     }
-    assert_eq!(metrics.connections_open(), 0, "open-connection gauge leaked");
+    assert_eq!(metrics.get(Counter::ConnectionsOpen), 0, "open-connection gauge leaked");
     drop(held);
     server.shutdown();
 }
@@ -433,6 +434,6 @@ fn holds_1024_connections_and_answers_every_request() {
             );
         }
     }
-    assert_eq!(server.metrics().connections_open(), clients.len() as u64);
+    assert_eq!(server.metrics().get(Counter::ConnectionsOpen), clients.len() as u64);
     server.shutdown();
 }

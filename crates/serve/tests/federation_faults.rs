@@ -30,7 +30,7 @@ use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::{attributes_section, Snapshot};
 use pipefail_network::ids::PipeId;
 use pipefail_serve::{
-    serve, serve_federated, BackendState, FedConfig, Federation, Scorer, ServeContext,
+    serve, serve_federated, BackendState, Counter, FedConfig, Federation, Scorer, ServeContext,
     ServerConfig, ServerHandle, ShardSet,
 };
 use proptest::prelude::*;
@@ -762,7 +762,7 @@ fn backend_healthz_probe_traffic_stays_out_of_request_metrics() {
     // Let several probe rounds land on the backend's /healthz.
     let backend_metrics = a.metrics();
     wait_for("three probe rounds", Duration::from_secs(10), || {
-        backend_metrics.healthz_total() >= 3
+        backend_metrics.get(Counter::Healthz) >= 3
     });
 
     // Probes are answered and counted in their own series — and in NONE of

@@ -18,7 +18,7 @@ use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::Snapshot;
 use pipefail_network::ids::PipeId;
 use pipefail_serve::http::{render_model, render_top_k};
-use pipefail_serve::{serve, ServeContext, ServerConfig, Scorer};
+use pipefail_serve::{serve, Counter, ServeContext, ServerConfig, Scorer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -79,7 +79,8 @@ fn one_connection_serves_many_requests_byte_identical_to_fresh_connections() {
 
     // 11 of the 12 were reuses of an existing connection.
     let metrics = handle.metrics();
-    assert_eq!(metrics.keepalive_reuses(), 11, "exactly 11 reuses on the shared socket");
+    let reuses = metrics.get(Counter::KeepaliveReuses);
+    assert_eq!(reuses, 11, "exactly 11 reuses on the shared socket");
     assert_eq!(metrics.total(), (paths.len() + 12) as u64);
     handle.shutdown();
 }

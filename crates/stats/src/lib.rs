@@ -17,6 +17,7 @@
 //! * [`dist`] — probability distributions with sampling, (log-)densities and
 //!   CDFs where meaningful.
 //! * [`descriptive`] — means, variances, quantiles, correlation.
+//! * [`linalg`] — the Cholesky solve of the Newton-step systems.
 //! * [`hypothesis`] — t-tests and p-values.
 //! * [`rng`] — deterministic seeding helpers used across the workspace.
 //!
@@ -38,6 +39,7 @@ pub mod dist;
 #[cfg(test)]
 mod proptests;
 pub mod hypothesis;
+pub mod linalg;
 pub mod rng;
 pub mod special;
 

@@ -14,6 +14,7 @@
 //! (see docs/SERVING.md).
 
 use pipefail::prelude::*;
+use pipefail::serve::Counter;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -101,7 +102,7 @@ fn main() {
     println!(
         "\n{} requests on one connection, {} keep-alive reuses",
         handle.metrics().total(),
-        handle.metrics().keepalive_reuses()
+        handle.metrics().get(Counter::KeepaliveReuses)
     );
 
     // 5. Hot-swap: re-fit with a different seed and overwrite the snapshot

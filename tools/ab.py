@@ -3,9 +3,13 @@
 
 Extracts ``--base`` with ``git archive`` into ``.bench_out/ab/<sha>/`` (kept
 for later runs), builds perfbench in that tree and in the working tree, then
-runs the command from BENCHMARK.json from each tree's root with ``--seconds``
-at its ``run_seconds`` and ``--trace 0``, one run per side per seed, and
-alternates which side runs first from one seed to the next.
+runs each tree's own ``perfbench/target/release/perfbench`` from that tree's
+root with the arguments BENCHMARK.json's command passes after ``--``, plus
+``--seconds`` at its ``run_seconds`` and ``--trace 0``: one run per side per
+seed, alternating which side runs first from one seed to the next. Running
+the built executables, not the command's ``cargo run``, keeps a source edit
+made during the runs from being rebuilt into them; if either executable
+changes after its build all the same, the report stops with an error.
 
 For each workload and end-to-end metric it prints each side's median
 [q1, q3] (``statistics.quantiles(values, n=4)``), the change in % of the
@@ -26,7 +30,8 @@ checks failed. Run from the repository root:
     python3 tools/ab.py --base HEAD --seeds 10
     python3 tools/ab.py --base main --seeds 11 --workloads analytics,federated
 
-Raw results go to ``.bench_out/ab-<time>.jsonl``.
+Raw results go to ``.bench_out/ab-<time>.jsonl``, one line per run with the
+executable's path and modification time.
 """
 
 import argparse
@@ -54,8 +59,20 @@ def extract(rev):
 
 
 def build(root):
+    """Build perfbench in ``root``; return its executable and the
+    executable's modification time in ns. ``CARGO_TARGET_DIR`` is dropped
+    so that each tree builds into its own ``perfbench/target``."""
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     subprocess.run(["cargo", "build", "--quiet", "--release", "--offline",
-                    "--manifest-path", "perfbench/Cargo.toml"], cwd=root, check=True)
+                    "--manifest-path", "perfbench/Cargo.toml"], cwd=root, env=env, check=True)
+    exe = os.path.join(root, "perfbench", "target", "release", "perfbench")
+    return exe, os.stat(exe).st_mtime_ns
+
+
+def check_unchanged(exe, mtime_ns):
+    now = os.stat(exe).st_mtime_ns
+    if now != mtime_ns:
+        raise RuntimeError(f"{exe} changed after its build (mtime {mtime_ns} ns, now {now} ns)")
 
 
 def run_once(command, root, workload, seed, seconds):
@@ -109,7 +126,7 @@ def main():
 
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
-    command = bench["command"]
+    passed = bench["command"][bench["command"].index("--") + 1:]
     seconds = bench["run_seconds"]
     workloads = opts.workloads.split(",") if opts.workloads else [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
@@ -117,8 +134,7 @@ def main():
 
     sha, base_root = extract(opts.base)
     roots = {"base": base_root, "change": os.path.abspath(".")}
-    for side in SIDES:
-        build(roots[side])
+    built = {side: build(roots[side]) for side in SIDES}
     os.makedirs(".bench_out", exist_ok=True)
     raw_path = time.strftime(".bench_out/ab-%Y%m%d-%H%M%S.jsonl")
     values = {}  # (side, workload, metric) -> [value per seed]
@@ -131,8 +147,12 @@ def main():
                 order = SIDES if turn % 2 == 0 else SIDES[::-1]
                 turn += 1
                 for side in order:
-                    result, elapsed = run_once(command, roots[side], w, seed, seconds)
+                    exe, mtime_ns = built[side]
+                    check_unchanged(exe, mtime_ns)
+                    result, elapsed = run_once([exe] + passed, roots[side], w, seed, seconds)
+                    check_unchanged(exe, mtime_ns)
                     raw.write(json.dumps({"side": side, "rev": sha if side == "base" else "worktree",
+                                          "exe": exe, "exe_mtime_ns": mtime_ns,
                                           "workload": w, "seed": seed, "first": order[0],
                                           "elapsed_s": elapsed, "result": result}) + "\n")
                     raw.flush()
