@@ -24,12 +24,19 @@
 //! The auxiliary components follow the **ReUse** scheme of Favaro & Teh
 //! (2013, *Statistical Science* 28(3)): a pool of `aux_m` empty clusters is
 //! drawn from the prior at the start of each assignment sweep and kept alive
-//! across unit updates, each with its cached likelihood column, so a unit
-//! update costs one cached lookup per live cluster and pool slot plus one
-//! categorical draw. A slot a unit takes becomes a live cluster and is
-//! refilled from the prior; a cluster that empties replaces a uniformly
-//! drawn slot, so a singleton's own `(q, c)` stay among the auxiliaries, as
-//! Algorithm 8 requires.
+//! across unit updates, each with its cached likelihood column. A slot a
+//! unit takes becomes a live cluster and is refilled from the prior; a
+//! cluster that empties replaces a uniformly drawn slot, so a singleton's
+//! own `(q, c)` stay among the auxiliaries, as Algorithm 8 requires.
+//!
+//! The sweep visits units pattern by pattern (the pattern table's order,
+//! units ascending within a pattern). For each pattern it scales every
+//! candidate's cached likelihood once, relative to the largest, and rescales
+//! only when the candidates change (a cluster empties into the pool, or a
+//! unit takes a pool slot), so a unit update is one multiply-add per
+//! candidate and one uniform draw, with no `ln` or `exp`. A systematic scan
+//! leaves the posterior invariant in any fixed order, and the order is a
+//! function of the data, so a fit stays a pure function of its seed.
 
 mod state;
 
@@ -43,7 +50,6 @@ use pipefail_network::attributes::PipeClass;
 use pipefail_network::dataset::Dataset;
 use pipefail_network::features::FeatureMask;
 use pipefail_network::split::TrainTestSplit;
-use pipefail_stats::dist::sample_from_log_weights;
 use pipefail_stats::rng::seeded_rng;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -181,9 +187,16 @@ struct Sampler8<'a> {
     /// The ReUse auxiliary pool: `aux_m` empty clusters with cached
     /// likelihood columns, drawn at the start of every assignment sweep.
     pool: Vec<Cluster>,
-    // scratch buffers to avoid per-unit allocation
-    weight_slots: Vec<usize>,
-    weights: Vec<f64>,
+    /// The live clusters' slots, in the order the candidate list weighs
+    /// them.
+    cand_slots: Vec<usize>,
+    /// `exp(loglik[p] − M)` of each live cluster in `cand_slots`, then of
+    /// each pool slot, for the pattern `p` being swept, where `M` is the
+    /// largest of these `loglik[p]`.
+    cand_lik: Vec<f64>,
+    /// `ln(1 − ρ̂)` per live slot and pattern (slot-major), scratch for
+    /// [`Sampler8::unit_ln_survival`].
+    ln_survival: Vec<f64>,
 }
 
 impl<'a> Sampler8<'a> {
@@ -197,8 +210,9 @@ impl<'a> Sampler8<'a> {
             prior: GroupPrior::new(q0, config.c0, config.c_prior)?,
             aux_m,
             pool: Vec::with_capacity(aux_m),
-            weight_slots: Vec::new(),
-            weights: Vec::new(),
+            cand_slots: Vec::new(),
+            cand_lik: Vec::new(),
+            ln_survival: Vec::new(),
         };
         // Initialise: everyone in one cluster drawn from the prior.
         let first = s.prior_cluster(rng);
@@ -224,59 +238,110 @@ impl<'a> Sampler8<'a> {
         self.z[unit] = slot;
     }
 
-    /// Take `unit` out of its cluster. A cluster left empty replaces a
-    /// uniformly drawn pool slot, column included, so its `(q, c)` stay
-    /// among the auxiliaries the unit is weighed against.
-    fn unassign(&mut self, unit: usize, rng: &mut StdRng) {
-        let slot = self.z[unit];
-        let pat = self.table.pattern_of(unit);
-        let dead = {
-            let c = self.slots.get_mut(slot);
-            c.n -= 1;
-            c.pattern_counts[pat] -= 1.0;
-            c.n == 0
-        };
-        if dead {
-            let j = rng.gen_range(0..self.pool.len());
-            self.pool[j] = self.slots.remove(slot);
-        }
-        self.z[unit] = usize::MAX;
-    }
-
     /// One CRP sweep over all units: Neal's Algorithm 8 over the ReUse
-    /// pool. Each unit weighs the live clusters by `ln n_k` and the pool
-    /// slots by `ln(α/m)`, plus the cached likelihood of its pattern; a
-    /// prior draw happens only to refill a slot that a unit took.
+    /// pool, visiting units pattern by pattern. A unit weighs the live
+    /// clusters by `n_k · lik_k` and the pool slots by `(α/m) · lik_j`, with
+    /// the candidates' likelihoods of its pattern scaled once by
+    /// [`scale_candidates`](Self::scale_candidates); a prior draw happens
+    /// only to refill a slot that a unit took.
     fn sweep_assignments(&mut self, rng: &mut StdRng) {
         self.pool.clear();
         for _ in 0..self.aux_m {
             let aux = self.prior_cluster(rng);
             self.pool.push(aux);
         }
-        let ln_alpha_m = (self.alpha / self.aux_m as f64).ln();
-        for unit in 0..self.table.units() {
-            self.unassign(unit, rng);
-            let pat = self.table.pattern_of(unit);
-            self.weight_slots.clear();
-            self.weights.clear();
-            for (slot, cluster) in self.slots.iter() {
-                self.weight_slots.push(slot);
-                self.weights
-                    .push((cluster.n as f64).ln() + cluster.loglik[pat]);
-            }
-            self.weights
-                .extend(self.pool.iter().map(|aux| ln_alpha_m + aux.loglik[pat]));
-            let choice = sample_from_log_weights(&self.weights, rng);
-            let slot = match choice.checked_sub(self.weight_slots.len()) {
-                None => self.weight_slots[choice],
-                Some(j) => {
-                    let refill = self.prior_cluster(rng);
-                    self.slots
-                        .insert(std::mem::replace(&mut self.pool[j], refill))
+        let alpha_m = self.alpha / self.aux_m as f64;
+        let table = self.table;
+        for pat in 0..table.len() {
+            self.scale_candidates(pat);
+            for &unit in table.units_of(pat) {
+                // Take the unit out. A cluster left empty replaces a
+                // uniformly drawn pool slot, column included, so its (q, c)
+                // stay among the auxiliaries the unit is weighed against.
+                let slot = self.z[unit];
+                let c = self.slots.get_mut(slot);
+                c.n -= 1;
+                c.pattern_counts[pat] -= 1.0;
+                if c.n == 0 {
+                    let j = rng.gen_range(0..self.pool.len());
+                    self.pool[j] = self.slots.remove(slot);
+                    self.scale_candidates(pat);
                 }
-            };
-            self.assign(unit, slot);
+                let choice = self.draw_candidate(alpha_m, rng.gen());
+                let slot = match choice.checked_sub(self.cand_slots.len()) {
+                    None => self.cand_slots[choice],
+                    Some(j) => {
+                        let refill = self.prior_cluster(rng);
+                        self.open_pool_slot(j, refill, pat)
+                    }
+                };
+                self.assign(unit, slot);
+            }
         }
+    }
+
+    /// Rebuild the candidate list for pattern `pat`: every live cluster,
+    /// then every pool slot, each with `exp(loglik[pat] − M)`, where `M` is
+    /// the largest candidate `loglik[pat]`. One `exp` per candidate; only a
+    /// likelihood more than ~745 below the largest in log scale underflows.
+    fn scale_candidates(&mut self, pat: usize) {
+        self.cand_slots.clear();
+        self.cand_lik.clear();
+        for (slot, cluster) in self.slots.iter() {
+            self.cand_slots.push(slot);
+            self.cand_lik.push(cluster.loglik[pat]);
+        }
+        self.cand_lik
+            .extend(self.pool.iter().map(|aux| aux.loglik[pat]));
+        let max = self
+            .cand_lik
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
+        for lik in &mut self.cand_lik {
+            *lik = (*lik - max).exp();
+        }
+    }
+
+    /// The unnormalised weights of the candidates, in list order: `n_k ·
+    /// lik_k` per live cluster, then `(α/m) · lik_j` per pool slot.
+    fn candidate_weights(&self, alpha_m: f64) -> impl Iterator<Item = f64> + '_ {
+        self.cand_slots
+            .iter()
+            .map(|&slot| self.slots.get(slot).n as f64)
+            .chain(std::iter::repeat(alpha_m))
+            .zip(&self.cand_lik)
+            .map(|(w, lik)| w * lik)
+    }
+
+    /// The candidate whose cumulative weight first exceeds `u` times the
+    /// total, for a uniform `u ∈ [0, 1)`: an index into the candidate list.
+    /// A weight of zero is never chosen.
+    fn draw_candidate(&self, alpha_m: f64, u: f64) -> usize {
+        let target = u * self.candidate_weights(alpha_m).sum::<f64>();
+        let mut acc = 0.0;
+        let mut last_positive = 0;
+        for (i, w) in self.candidate_weights(alpha_m).enumerate() {
+            acc += w;
+            if target < acc {
+                return i;
+            }
+            if w > 0.0 {
+                last_positive = i;
+            }
+        }
+        last_positive // `u · total` rounded up to the total
+    }
+
+    /// Move pool slot `j` into the live clusters and put `refill` in its
+    /// place, then rescale the candidates for pattern `pat`. Returns the new
+    /// cluster's slot.
+    fn open_pool_slot(&mut self, j: usize, refill: Cluster, pat: usize) -> usize {
+        let slot = self
+            .slots
+            .insert(std::mem::replace(&mut self.pool[j], refill));
+        self.scale_candidates(pat);
+        slot
     }
 
     /// Update `(q_k, c_k)` for every live cluster and refresh caches.
@@ -303,16 +368,31 @@ impl<'a> Sampler8<'a> {
         );
     }
 
-    /// Write the posterior mean of every unit's ρ under the current state
-    /// into `out`.
-    fn current_rho(&self, out: &mut [f64]) {
-        for (unit, &slot) in self.z.iter().enumerate() {
-            let cl = self.slots.get(slot);
-            out[unit] = self
-                .table
-                .pattern(self.table.pattern_of(unit))
-                .posterior_mean(cl.q, cl.c);
+    /// `ln(1 − ρ̂)` of every unit under the current state, in unit order,
+    /// where `ρ̂` is the posterior mean of the unit's failure probability
+    /// given its cluster's `(q, c)`, clamped to `[0, 1 − 1e-12]`. Each
+    /// (cluster, pattern) pair with members is evaluated once.
+    fn unit_ln_survival(&mut self) -> impl Iterator<Item = f64> + '_ {
+        let width = self.table.len();
+        self.ln_survival
+            .resize(self.slots.slot_bound() * width, 0.0);
+        for (slot, cl) in self.slots.iter() {
+            for (pat, &count) in cl.pattern_counts.iter().enumerate() {
+                if count > 0.0 {
+                    let rho = self
+                        .table
+                        .pattern(pat)
+                        .posterior_mean(cl.q, cl.c)
+                        .clamp(0.0, 1.0 - 1e-12);
+                    self.ln_survival[slot * width + pat] = (1.0 - rho).ln();
+                }
+            }
         }
+        let (table, ln_survival) = (self.table, &self.ln_survival);
+        self.z
+            .iter()
+            .enumerate()
+            .map(move |(unit, &slot)| ln_survival[slot * width + table.pattern_of(unit)])
     }
 
     /// Debug cross-check of the incremental caches: every live cluster's
@@ -414,7 +494,6 @@ impl Dpmhbp {
         let mut sampler = Sampler8::new(&table, &self.config, q0, &mut rng)?;
 
         let sched = self.config.schedule;
-        let mut rho_t = vec![0.0; table.units()];
         let mut pipe_sum = vec![0.0; pipes.len()];
         let mut pipe_sq = vec![0.0; pipes.len()];
         let mut log_survive_t = vec![0.0; pipes.len()];
@@ -444,11 +523,10 @@ impl Dpmhbp {
                 // (inference scaled the exposure, so ρ is the *base* rate):
                 // (1 − ρ̂) = (1 − ρ)^e. Accumulating π per sweep gives the
                 // exact Monte Carlo posterior mean plus an uncertainty.
-                sampler.current_rho(&mut rho_t);
                 log_survive_t.iter_mut().for_each(|v| *v = 0.0);
-                for (unit, &pi) in unit_pipe.iter().enumerate() {
-                    let rho = rho_t[unit].clamp(0.0, 1.0 - 1e-12);
-                    log_survive_t[pi] += unit_multiplier[unit] * (1.0 - rho).ln();
+                let units = unit_pipe.iter().zip(&unit_multiplier);
+                for ((&pi, &e), ln_s) in units.zip(sampler.unit_ln_survival()) {
+                    log_survive_t[pi] += e * ln_s;
                 }
                 for (pi, ls) in log_survive_t.iter().enumerate() {
                     let p = 1.0 - ls.exp();
@@ -708,102 +786,193 @@ mod tests {
     }
 
     #[test]
+    fn candidate_weights_survive_underflow_and_a_refill_above_the_maximum() {
+        // The block rebuild's numerics. Likelihoods that all lie below
+        // −800, where each `exp` alone underflows, keep their exact ratios
+        // relative to their maximum. A pool slot refilled far above that
+        // maximum is weighed by the next unit update against a rescaled
+        // list, not the old maximum, where its weight would overflow.
+        let table = PatternTable::build(
+            std::iter::repeat_n((0.0, 11.0, 1.0), 3).chain(std::iter::repeat_n((6.0, 5.0, 1.0), 2)),
+        );
+        let config = DpmhbpConfig::default();
+        let mut rng = seeded_rng(5);
+        let mut s = Sampler8::new(&table, &config, 0.05, &mut rng).unwrap();
+        let pat = table.pattern_of(0);
+        let alpha_m = s.alpha / s.aux_m as f64;
+        let check_weights = |s: &Sampler8| {
+            let weights: Vec<f64> = s.candidate_weights(alpha_m).collect();
+            let total: f64 = weights.iter().sum();
+            assert!(total > 0.0 && total.is_finite(), "total weight {total}");
+            // The exact conditional from the log weights, in list order.
+            let ln_w: Vec<f64> = s
+                .slots
+                .iter()
+                .map(|(_, cl)| (cl.n as f64).ln() + cl.loglik[pat])
+                .chain(s.pool.iter().map(|aux| alpha_m.ln() + aux.loglik[pat]))
+                .collect();
+            assert_eq!(weights.len(), ln_w.len(), "candidate list is stale");
+            let ln_norm = pipefail_stats::special::log_sum_exp(&ln_w);
+            for (w, l) in weights.iter().zip(&ln_w) {
+                let exact = (l - ln_norm).exp();
+                assert!(
+                    (w / total - exact).abs() <= 1e-12 * exact,
+                    "{} vs exact {exact:e}",
+                    w / total
+                );
+            }
+        };
+        let live = s.slots.live_slots()[0];
+        s.slots.get_mut(live).loglik[pat] = -900.0;
+        for ll in [-850.0, -1000.0, -820.0] {
+            let mut aux = s.prior_cluster(&mut rng);
+            aux.loglik[pat] = ll;
+            s.pool.push(aux);
+        }
+        assert_eq!((-820.0f64).exp(), 0.0);
+        s.scale_candidates(pat);
+        check_weights(&s);
+
+        // The sweep's next steps: unit 0 leaves its cluster and takes pool
+        // slot 1, which is refilled with a column 810 above the maximum.
+        let leave = |s: &mut Sampler8| {
+            let c = s.slots.get_mut(live);
+            c.n -= 1;
+            c.pattern_counts[pat] -= 1.0;
+        };
+        leave(&mut s);
+        let mut refill = s.prior_cluster(&mut rng);
+        refill.loglik[pat] = -10.0;
+        let opened = s.open_pool_slot(1, refill, pat);
+        s.assign(0, opened);
+        // Unit 1 leaves its cluster and is weighed: the refilled slot holds
+        // all the mass.
+        leave(&mut s);
+        check_weights(&s);
+        assert_eq!(s.draw_candidate(alpha_m, 0.5), s.cand_slots.len() + 1);
+    }
+
+    /// Every set partition of `0..n` (n ≥ 1) as a restricted growth
+    /// string: entry `u` numbers unit `u`'s block, blocks numbered in order
+    /// of first appearance.
+    fn set_partitions(n: usize) -> Vec<Vec<usize>> {
+        let mut out = vec![vec![0]];
+        for _ in 1..n {
+            out = out
+                .into_iter()
+                .flat_map(|rgs| {
+                    let blocks = rgs.iter().max().unwrap() + 1;
+                    (0..=blocks).map(move |b| [rgs.as_slice(), &[b]].concat())
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// The restricted growth string of a cluster assignment.
+    fn restricted_growth(z: &[usize]) -> Vec<usize> {
+        let mut seen: Vec<usize> = Vec::new();
+        z.iter()
+            .map(|&slot| {
+                seen.iter().position(|&s| s == slot).unwrap_or_else(|| {
+                    seen.push(slot);
+                    seen.len() - 1
+                })
+            })
+            .collect()
+    }
+
+    #[test]
     fn partition_frequencies_match_exact_posterior() {
-        // Three units, two alike. With α fixed the partition posterior is
-        // exact: CRP(α) times, per block, the marginal likelihood
+        // With α fixed the partition posterior is exact: CRP(α) times, per
+        // block, the marginal likelihood
         // ∫∫ Π_{u ∈ block} m(pattern_u | q, c) p(q) p(c) dq dc, here by
-        // 400×400 midpoint quadrature over logit q and ln c. A sampler that
+        // 400×400 midpoint quadrature over logit q and ln c. Two tables:
+        // three units, two alike; and four units with patterns A, B, A, B,
+        // which the sweep visits in the order 0, 2, 1, 3. A sampler that
         // drops an emptied singleton's (q, c) instead of keeping it among
         // the auxiliaries puts far too much mass on the one-cluster
         // partition and fails this.
-        let table =
-            PatternTable::build([(0.0, 11.0, 1.0), (0.0, 11.0, 1.0), (6.0, 5.0, 1.0)].into_iter());
-        let q0 = 0.1;
-        let config = DpmhbpConfig {
-            alpha: 1.0,
-            sample_alpha: false,
-            q0: Some(q0),
-            ..DpmhbpConfig::default()
-        };
-        // The five partitions of {0, 1, 2}, in the order `partition_of`
-        // below numbers them.
-        let partitions: [&[&[usize]]; 5] = [
-            &[&[0, 1, 2]],
-            &[&[0, 1], &[2]],
-            &[&[0, 2], &[1]],
-            &[&[1, 2], &[0]],
-            &[&[0], &[1], &[2]],
-        ];
-        let partition_of = |z: &[usize]| match (z[0] == z[1], z[0] == z[2], z[1] == z[2]) {
-            (true, true, _) => 0,
-            (true, false, _) => 1,
-            (false, true, _) => 2,
-            (false, false, true) => 3,
-            (false, false, false) => 4,
-        };
+        let (a, b) = ((0.0, 11.0, 1.0), (6.0, 5.0, 1.0));
+        for units in [vec![a, a, b], vec![a, b, a, b]] {
+            let n = units.len();
+            let table = PatternTable::build(units.into_iter());
+            let q0 = 0.1;
+            let config = DpmhbpConfig {
+                alpha: 1.0,
+                sample_alpha: false,
+                q0: Some(q0),
+                ..DpmhbpConfig::default()
+            };
+            let partitions = set_partitions(n);
 
-        let q_prior = Beta::with_mean_concentration(q0, config.c0).unwrap();
-        let c_prior = Gamma::new(config.c_prior.0, config.c_prior.1).unwrap();
-        const N: usize = 400;
-        let (y_lo, y_hi, t_lo, t_hi) = (-20.0, 12.0, -9.0, 11.0);
-        let (dy, dt) = ((y_hi - y_lo) / N as f64, (t_hi - t_lo) / N as f64);
-        // Per midpoint: ln(prior density × Jacobian × cell area), and each
-        // unit's log marginal there.
-        let mut grid: Vec<(f64, [f64; 3])> = Vec::with_capacity(N * N);
-        for i in 0..N {
-            let y = y_lo + (i as f64 + 0.5) * dy;
-            let q = 1.0 / (1.0 + (-y).exp());
-            let ln_q_part = q_prior.ln_pdf(q) + q.ln() + (1.0 - q).ln();
-            for j in 0..N {
-                let t = t_lo + (j as f64 + 0.5) * dt;
-                let c = t.exp();
-                let ln_w = ln_q_part + c_prior.ln_pdf(c) + t + (dy * dt).ln();
-                let lm = [0, 1, 2].map(|u| table.pattern(table.pattern_of(u)).log_marginal(q, c));
-                grid.push((ln_w, lm));
+            let q_prior = Beta::with_mean_concentration(q0, config.c0).unwrap();
+            let c_prior = Gamma::new(config.c_prior.0, config.c_prior.1).unwrap();
+            const N: usize = 400;
+            let (y_lo, y_hi, t_lo, t_hi) = (-20.0, 12.0, -9.0, 11.0);
+            let (dy, dt) = ((y_hi - y_lo) / N as f64, (t_hi - t_lo) / N as f64);
+            // Per midpoint: ln(prior density × Jacobian × cell area), and
+            // each unit's log marginal there.
+            let mut grid: Vec<(f64, Vec<f64>)> = Vec::with_capacity(N * N);
+            for i in 0..N {
+                let y = y_lo + (i as f64 + 0.5) * dy;
+                let q = 1.0 / (1.0 + (-y).exp());
+                let ln_q_part = q_prior.ln_pdf(q) + q.ln() + (1.0 - q).ln();
+                for j in 0..N {
+                    let t = t_lo + (j as f64 + 0.5) * dt;
+                    let c = t.exp();
+                    let ln_w = ln_q_part + c_prior.ln_pdf(c) + t + (dy * dt).ln();
+                    let lm = (0..n)
+                        .map(|u| table.pattern(table.pattern_of(u)).log_marginal(q, c))
+                        .collect();
+                    grid.push((ln_w, lm));
+                }
             }
-        }
-        let block_ln_marginal = |block: &[usize]| {
-            let terms: Vec<f64> = grid
-                .iter()
-                .map(|(ln_w, lm)| ln_w + block.iter().map(|&u| lm[u]).sum::<f64>())
-                .collect();
-            pipefail_stats::special::log_sum_exp(&terms)
-        };
-        // CRP: α^K Π_k (n_k − 1)!, up to a constant shared by all partitions.
-        let ln_post: Vec<f64> = partitions
-            .iter()
-            .map(|blocks| {
-                blocks
+            let block_ln_marginal = |block: &[usize]| {
+                let terms: Vec<f64> = grid
                     .iter()
-                    .map(|b| {
-                        config.alpha.ln()
-                            + ((1..b.len()).product::<usize>() as f64).ln()
-                            + block_ln_marginal(b)
-                    })
-                    .sum()
-            })
-            .collect();
-        let ln_norm = pipefail_stats::special::log_sum_exp(&ln_post);
-        let exact: Vec<f64> = ln_post.iter().map(|l| (l - ln_norm).exp()).collect();
+                    .map(|(ln_w, lm)| ln_w + block.iter().map(|&u| lm[u]).sum::<f64>())
+                    .collect();
+                pipefail_stats::special::log_sum_exp(&terms)
+            };
+            // CRP: α^K Π_k (n_k − 1)!, up to a constant shared by all
+            // partitions.
+            let ln_post: Vec<f64> = partitions
+                .iter()
+                .map(|rgs| {
+                    (0..=*rgs.iter().max().unwrap())
+                        .map(|k| {
+                            let block: Vec<usize> = (0..n).filter(|&u| rgs[u] == k).collect();
+                            config.alpha.ln()
+                                + ((1..block.len()).product::<usize>() as f64).ln()
+                                + block_ln_marginal(&block)
+                        })
+                        .sum()
+                })
+                .collect();
+            let ln_norm = pipefail_stats::special::log_sum_exp(&ln_post);
+            let exact: Vec<f64> = ln_post.iter().map(|l| (l - ln_norm).exp()).collect();
 
-        let mut rng = seeded_rng(7);
-        let mut s = Sampler8::new(&table, &config, q0, &mut rng).unwrap();
-        let (burn_in, counted) = (1_000, 40_000);
-        let mut hits = [0usize; 5];
-        for sweep in 0..burn_in + counted {
-            s.sweep_assignments(&mut rng);
-            s.sweep_parameters(&mut rng).unwrap();
-            if sweep >= burn_in {
-                hits[partition_of(&s.z)] += 1;
+            let mut rng = seeded_rng(11);
+            let mut s = Sampler8::new(&table, &config, q0, &mut rng).unwrap();
+            let (burn_in, counted) = (1_000, 60_000);
+            let mut hits = vec![0usize; partitions.len()];
+            for sweep in 0..burn_in + counted {
+                s.sweep_assignments(&mut rng);
+                s.sweep_parameters(&mut rng).unwrap();
+                if sweep >= burn_in {
+                    let rgs = restricted_growth(&s.z);
+                    hits[partitions.iter().position(|p| *p == rgs).unwrap()] += 1;
+                }
             }
-        }
-        for (k, blocks) in partitions.iter().enumerate() {
-            let freq = hits[k] as f64 / counted as f64;
-            assert!(
-                (freq - exact[k]).abs() <= 0.03,
-                "partition {blocks:?}: sampled {freq:.3}, exact {:.3} (all: {exact:.3?})",
-                exact[k]
-            );
+            for (k, rgs) in partitions.iter().enumerate() {
+                let freq = hits[k] as f64 / counted as f64;
+                assert!(
+                    (freq - exact[k]).abs() <= 0.02,
+                    "{n} units, partition {rgs:?}: sampled {freq:.4}, exact {:.4} (all: {exact:.4?})",
+                    exact[k]
+                );
+            }
         }
     }
 

@@ -112,6 +112,12 @@ impl ClusterSlots {
         self.slots[slot].as_mut().expect("live slot")
     }
 
+    /// One past the largest slot id ever handed out: every live slot is
+    /// below it.
+    pub fn slot_bound(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Iterate `(slot, cluster)` over live clusters.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Cluster)> {
         self.slots

@@ -12,9 +12,12 @@
 //! Covariates enter by scaling the clean exposure `f → f·e` (the
 //! Poisson-offset view of "multiplicative features"); multipliers are
 //! quantised to a fixed grid so units collapse into a small set of distinct
-//! `(s, f·e)` *patterns* — the trick that keeps Gibbs sweeps O(units ×
-//! clusters) with tiny constants even though every likelihood involves six
-//! log-gamma evaluations.
+//! `(s, f·e)` *patterns*. A group's likelihood is one column over the
+//! patterns, computed once per `(q, c)` draw although each entry involves
+//! six log-gamma evaluations. The table also lists each pattern's units, so
+//! DPMHBP's assignment sweep scales a column entry once per pattern and then
+//! pays one multiply-add per candidate cluster per unit: O(patterns ×
+//! clusters) `exp`s and O(units × clusters) multiply-adds per sweep.
 
 use crate::{CoreError, Result};
 use pipefail_mcmc::slice::SliceSampler;
@@ -78,6 +81,17 @@ pub struct MarginalContext {
 impl MarginalContext {
     /// Hoist the `(q, c)`-only log-gammas.
     pub fn new(q: f64, c: f64) -> Self {
+        let ctx = Self::for_q(q, c);
+        Self {
+            ln_gamma_ab: ln_gamma(ctx.ab),
+            ..ctx
+        }
+    }
+
+    /// The context [`log_marginal_q`](Self::log_marginal_q) needs: that of
+    /// [`new`](Self::new) without `ln Γ(c)`, which only the `c`-dependent
+    /// shift reads. It is NaN here, so `log_marginal` must not be called.
+    fn for_q(q: f64, c: f64) -> Self {
         let a = c * q;
         let b = c * (1.0 - q);
         Self {
@@ -86,7 +100,7 @@ impl MarginalContext {
             ab: a + b,
             ln_gamma_a: ln_gamma(a),
             ln_gamma_b: ln_gamma(b),
-            ln_gamma_ab: ln_gamma(a + b),
+            ln_gamma_ab: f64::NAN,
         }
     }
 
@@ -114,9 +128,16 @@ impl MarginalContext {
     /// equal to [`ObsPattern::log_marginal`] up to ~1e-13 (the recurrence
     /// and the direct Lanczos path round differently in the last bits).
     pub fn log_marginal(&self, pat: ObsPattern) -> f64 {
+        self.log_marginal_q(pat) - Self::ln_gamma_shift(self.ab, self.ln_gamma_ab, pat.s + pat.f)
+    }
+
+    /// The two shifts of [`log_marginal`](Self::log_marginal) that depend on
+    /// `q`, `ln Γ(a + s) − ln Γ(a) + ln Γ(b + f) − ln Γ(b)`. The third,
+    /// `ln Γ(c + s + f) − ln Γ(c)`, is constant in `q` at fixed `c`, so a
+    /// step on `q` alone can leave it out.
+    fn log_marginal_q(&self, pat: ObsPattern) -> f64 {
         Self::ln_gamma_shift(self.a, self.ln_gamma_a, pat.s)
             + Self::ln_gamma_shift(self.b, self.ln_gamma_b, pat.f)
-            - Self::ln_gamma_shift(self.ab, self.ln_gamma_ab, pat.s + pat.f)
     }
 }
 
@@ -125,6 +146,10 @@ impl MarginalContext {
 pub struct PatternTable {
     patterns: Vec<ObsPattern>,
     index_of: Vec<usize>,
+    /// Pattern `p`'s units are `members[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<usize>,
+    /// Every unit once, grouped by pattern, ascending within a pattern.
+    members: Vec<usize>,
 }
 
 impl PatternTable {
@@ -143,7 +168,22 @@ impl PatternTable {
             });
             index_of.push(idx);
         }
-        Self { patterns, index_of }
+        let mut offsets = vec![0; patterns.len() + 1];
+        for &idx in &index_of {
+            offsets[idx + 1] += 1;
+        }
+        for p in 1..offsets.len() {
+            offsets[p] += offsets[p - 1];
+        }
+        // A stable sort keeps the units of a pattern ascending.
+        let mut members: Vec<usize> = (0..index_of.len()).collect();
+        members.sort_by_key(|&unit| index_of[unit]);
+        Self {
+            patterns,
+            index_of,
+            offsets,
+            members,
+        }
     }
 
     /// Number of units.
@@ -164,6 +204,11 @@ impl PatternTable {
     /// Pattern index of unit `i`.
     pub fn pattern_of(&self, i: usize) -> usize {
         self.index_of[i]
+    }
+
+    /// The units of pattern `idx`, ascending.
+    pub fn units_of(&self, idx: usize) -> &[usize] {
+        &self.members[self.offsets[idx]..self.offsets[idx + 1]]
     }
 
     /// Pattern by index.
@@ -208,9 +253,22 @@ impl PatternTable {
     /// proposals, and most groups touch a handful of the table's patterns.
     pub fn group_log_likelihood_sparse(&self, sparse: &[(usize, f64)], q: f64, c: f64) -> f64 {
         let ctx = MarginalContext::new(q, c);
+        self.sparse_sum(sparse, |pat| ctx.log_marginal(pat))
+    }
+
+    /// The part of
+    /// [`group_log_likelihood_sparse`](Self::group_log_likelihood_sparse)
+    /// that depends on `q` (see [`MarginalContext::log_marginal_q`]). At
+    /// fixed `c` the two differ by a constant.
+    fn group_log_likelihood_q_sparse(&self, sparse: &[(usize, f64)], q: f64, c: f64) -> f64 {
+        let ctx = MarginalContext::for_q(q, c);
+        self.sparse_sum(sparse, |pat| ctx.log_marginal_q(pat))
+    }
+
+    fn sparse_sum(&self, sparse: &[(usize, f64)], marginal: impl Fn(ObsPattern) -> f64) -> f64 {
         let mut acc = 0.0;
         for &(idx, cnt) in sparse {
-            acc += cnt * ctx.log_marginal(self.patterns[idx]);
+            acc += cnt * marginal(self.patterns[idx]);
         }
         acc
     }
@@ -296,7 +354,9 @@ impl GroupPrior {
     /// One update of a group's `(q, c)` given its sparse `(pattern, count)`
     /// list: a slice step on `logit q` at the current `c`, then one on
     /// `ln c` at the new `q`. Both targets are the posterior under the
-    /// truncated prior, so they are −∞ outside the support.
+    /// truncated prior, so they are −∞ outside the support. The `q` target
+    /// leaves out the likelihood's terms that are constant in `q`, which a
+    /// slice transition does not see.
     ///
     /// Errors (instead of panicking) when the current parameters lie outside
     /// the support or have non-finite posterior density.
@@ -316,7 +376,7 @@ impl GroupPrior {
                 return f64::NEG_INFINITY;
             }
             self.q.ln_pdf(qv)
-                + table.group_log_likelihood_sparse(counts, qv, c)
+                + table.group_log_likelihood_q_sparse(counts, qv, c)
                 + logit.ln_jacobian(y)
         };
         let y = self.slice_q.try_step(logit.forward(q), &log_post_q, rng)?;
@@ -393,6 +453,9 @@ mod tests {
         assert_eq!(t.pattern_of(0), t.pattern_of(1));
         assert_ne!(t.pattern_of(0), t.pattern_of(2));
         assert_ne!(t.pattern_of(0), t.pattern_of(3));
+        assert_eq!(t.units_of(t.pattern_of(0)), &[0, 1]);
+        assert_eq!(t.units_of(t.pattern_of(2)), &[2]);
+        assert_eq!(t.units_of(t.pattern_of(3)), &[3]);
     }
 
     #[test]
@@ -448,6 +511,53 @@ mod tests {
             let dense = t.group_log_likelihood(&counts, q, c);
             let sp = t.group_log_likelihood_sparse(&sparse, q, c);
             assert_eq!(sp.to_bits(), dense.to_bits(), "paths must be byte-identical");
+        }
+    }
+
+    #[test]
+    fn q_only_likelihood_differs_from_the_full_one_by_a_constant_in_q() {
+        // Integer and covariate-scaled (fractional) exposures, failures and
+        // none: at fixed c the full group log-likelihood, summed from the
+        // direct six-log-gamma marginal, minus its q part is
+        // Σ count · −(ln Γ(c + s + f) − ln Γ(c)), whatever q is.
+        let t = PatternTable::build(
+            vec![
+                (0.0, 11.0, 1.0),
+                (1.0, 10.0, 1.0),
+                (3.0, 8.0, 1.0),
+                (0.0, 11.0, 1.4),
+                (2.0, 9.0, 0.6),
+            ]
+            .into_iter(),
+        );
+        let sparse = vec![(0, 40.0), (1, 3.0), (2, 1.0), (3, 12.0), (4, 2.0)];
+        for c in [0.3, 5.0, 80.0, 4e3] {
+            let gap = |q: f64| {
+                let full: f64 = sparse
+                    .iter()
+                    .map(|&(idx, cnt)| cnt * t.pattern(idx).log_marginal(q, c))
+                    .sum();
+                full - t.group_log_likelihood_q_sparse(&sparse, q, c)
+            };
+            let at_half = gap(0.5);
+            let expected: f64 = sparse
+                .iter()
+                .map(|&(idx, cnt)| {
+                    let pat = t.pattern(idx);
+                    -cnt * (ln_gamma(c + pat.s + pat.f) - ln_gamma(c))
+                })
+                .sum();
+            assert!(
+                (at_half - expected).abs() <= 1e-9 * expected.abs(),
+                "c {c}: {at_half} vs {expected}"
+            );
+            for q in [1e-6, 1e-3, 0.02, 0.3, 0.9, 1.0 - 1e-6] {
+                assert!(
+                    (gap(q) - at_half).abs() <= 1e-9 * at_half.abs(),
+                    "c {c}, q {q:e}: gap {} vs {at_half} at q = 0.5",
+                    gap(q)
+                );
+            }
         }
     }
 

@@ -1,16 +1,12 @@
-//! Categorical distribution with Walker alias-table sampling, plus direct
-//! sampling from unnormalised log-weights (needed by the CRP Gibbs sweeps).
+//! Categorical distribution with Walker alias-table sampling.
 
 use super::Sampler;
-use crate::special::log_sum_exp;
 use crate::{Result, StatsError};
 use rand::Rng;
 
 /// Categorical distribution over `0..k` given (unnormalised) weights.
 ///
-/// Sampling is O(1) through a Walker alias table built once at construction;
-/// use [`sample_from_log_weights`] for one-shot draws where building a table
-/// would be wasted work.
+/// Sampling is O(1) through a Walker alias table built once at construction.
 #[derive(Debug, Clone)]
 pub struct Categorical {
     probs: Vec<f64>,
@@ -112,23 +108,6 @@ impl AliasTable {
     }
 }
 
-/// Draw one index `i ∈ 0..k` with probability `∝ exp(log_w[i])`, stable for
-/// arbitrarily scaled log-weights. This is the inner loop of every CRP Gibbs
-/// sweep, so it avoids allocation.
-pub fn sample_from_log_weights<R: Rng + ?Sized>(log_w: &[f64], rng: &mut R) -> usize {
-    debug_assert!(!log_w.is_empty());
-    let lse = log_sum_exp(log_w);
-    let u: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, &lw) in log_w.iter().enumerate() {
-        acc += (lw - lse).exp();
-        if u <= acc {
-            return i;
-        }
-    }
-    log_w.len() - 1 // float round-off fallback
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,21 +154,5 @@ mod tests {
         for _ in 0..5_000 {
             assert_ne!(c.sample(&mut rng), 1);
         }
-    }
-
-    #[test]
-    fn log_weight_sampling_matches() {
-        let mut rng = seeded_rng(19);
-        // log weights offset by a huge constant must not matter
-        let lw = [1000.0 + 1.0_f64.ln(), 1000.0 + 3.0_f64.ln()];
-        let n = 100_000;
-        let mut ones = 0;
-        for _ in 0..n {
-            if sample_from_log_weights(&lw, &mut rng) == 1 {
-                ones += 1;
-            }
-        }
-        let frac = ones as f64 / n as f64;
-        assert!((frac - 0.75).abs() < 0.01, "frac {frac}");
     }
 }

@@ -18,7 +18,7 @@ mod student_t;
 
 pub use bernoulli::Bernoulli;
 pub use beta::Beta;
-pub use categorical::{sample_from_log_weights, AliasTable, Categorical};
+pub use categorical::{AliasTable, Categorical};
 pub use gamma::Gamma;
 pub use normal::Normal;
 pub use poisson::Poisson;

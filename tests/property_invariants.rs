@@ -96,7 +96,8 @@ proptest! {
         }
     }
 
-    /// Pattern tables preserve unit count and pattern indices are valid.
+    /// Pattern tables preserve unit count and pattern indices are valid;
+    /// each pattern lists exactly its units, ascending.
     #[test]
     fn pattern_table_consistency(
         units in proptest::collection::vec((0u32..5, 0u32..12, 0.1f64..10.0), 1..200)
@@ -108,6 +109,11 @@ proptest! {
         prop_assert!(table.len() <= units.len());
         for i in 0..table.units() {
             prop_assert!(table.pattern_of(i) < table.len());
+        }
+        for p in 0..table.len() {
+            let members = table.units_of(p);
+            let expected: Vec<usize> = (0..table.units()).filter(|&i| table.pattern_of(i) == p).collect();
+            prop_assert_eq!(members, expected.as_slice());
         }
     }
 

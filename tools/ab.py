@@ -24,6 +24,15 @@ neither side) and a verdict:
   the better direction, by more than the base's quartile distance;
 * ``no worse``: otherwise.
 
+Under ``cpu_us_per_op`` it prints each side's median raw CPU per operation
+and median host speed, read from the note lines perfbench prints on stdout
+(``cpu per fit … us at host speed …`` on ``fit``, ``server cpu … us per
+request … at host speed …`` on the serving workloads). ``cpu_us_per_op`` is
+the raw CPU divided by the host speed, so a host slow spell can move it on
+one side of a pair alone; it marks each pair whose two speed readings differ
+by more than ``cpu_us_per_op``'s bound (the larger over the smaller). The
+verdicts do not use either figure.
+
 It also prints the failed operations of each side and any run whose output
 checks failed. Run from the repository root:
 
@@ -31,12 +40,13 @@ checks failed. Run from the repository root:
     python3 tools/ab.py --base main --seeds 11 --workloads analytics,federated
 
 Raw results go to ``.bench_out/ab-<time>.jsonl``, one line per run with the
-executable's path and modification time.
+executable's path and modification time and perfbench's note lines.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -76,6 +86,8 @@ def check_unchanged(exe, mtime_ns):
 
 
 def run_once(command, root, workload, seed, seconds):
+    """Run perfbench once; return its result object (the last stdout
+    line), the stdout lines before it, and the wall seconds taken."""
     args = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
     started = time.monotonic()
@@ -85,7 +97,46 @@ def run_once(command, root, workload, seed, seconds):
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: {workload} seed {seed}: exit {proc.returncode}\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1]), elapsed
+    return json.loads(lines[-1]), lines[:-1], elapsed
+
+
+# perfbench's note lines that carry the raw CPU per operation and the host
+# speed it is divided by: the fit workload's, then the serving workloads'.
+RAW_CPU_NOTES = (
+    re.compile(r"\bcpu per fit ([0-9.]+) us at host speed ([0-9.]+)"),
+    re.compile(r"^server cpu ([0-9.]+) us per request\b.*? at host speed ([0-9.]+)"),
+)
+
+
+def raw_cpu_and_speed(notes):
+    """(raw CPU in us per operation, host speed) from a run's note lines,
+    or None when no line carries them."""
+    for line in notes:
+        for pattern in RAW_CPU_NOTES:
+            found = pattern.search(line)
+            if found:
+                return float(found.group(1)), float(found.group(2))
+    return None
+
+
+def host_lines(base, change, seeds, bound):
+    """The lines printed under ``cpu_us_per_op``: each side's median raw
+    CPU and host speed, and the pairs whose two speed readings differ by
+    more than ``bound``. ``base[i]`` and ``change[i]`` are seed ``seeds[i]``'s
+    ``raw_cpu_and_speed`` readings."""
+    def medians(readings, k):
+        known = [r[k] for r in readings if r is not None]
+        return f"{statistics.median(known):.6g}" if known else "n/a"
+
+    lines = [f"{'  raw cpu':<14} {medians(base, 0):<40} {medians(change, 0):<40} "
+             "medians, us per op before dividing by the host speed",
+             f"{'  host speed':<14} {medians(base, 1):<40} {medians(change, 1):<40} medians"]
+    apart = [f"seed {seed} ({b[1]:.4g} vs {c[1]:.4g})"
+             for seed, b, c in zip(seeds, base, change)
+             if b is not None and c is not None and max(b[1], c[1]) > (1 + bound) * min(b[1], c[1])]
+    if apart:
+        lines.append(f"  host speeds more than {bound:.0%} apart: " + ", ".join(apart))
+    return lines
 
 
 def quartiles(values):
@@ -138,6 +189,7 @@ def main():
     os.makedirs(".bench_out", exist_ok=True)
     raw_path = time.strftime(".bench_out/ab-%Y%m%d-%H%M%S.jsonl")
     values = {}  # (side, workload, metric) -> [value per seed]
+    host = {}  # (side, workload) -> [raw_cpu_and_speed per seed]
     failed = {}  # (side, workload) -> failed operations
     broken = []
     with open(raw_path, "w") as raw:
@@ -149,13 +201,15 @@ def main():
                 for side in order:
                     exe, mtime_ns = built[side]
                     check_unchanged(exe, mtime_ns)
-                    result, elapsed = run_once([exe] + passed, roots[side], w, seed, seconds)
+                    result, notes, elapsed = run_once([exe] + passed, roots[side], w, seed, seconds)
                     check_unchanged(exe, mtime_ns)
                     raw.write(json.dumps({"side": side, "rev": sha if side == "base" else "worktree",
                                           "exe": exe, "exe_mtime_ns": mtime_ns,
                                           "workload": w, "seed": seed, "first": order[0],
-                                          "elapsed_s": elapsed, "result": result}) + "\n")
+                                          "elapsed_s": elapsed, "result": result,
+                                          "notes": notes}) + "\n")
                     raw.flush()
+                    host.setdefault((side, w), []).append(raw_cpu_and_speed(notes))
                     failed[(side, w)] = failed.get((side, w), 0) + result["failed"]
                     if not result["correct"]:
                         broken.append((side, w, seed))
@@ -185,6 +239,9 @@ def main():
             cells = [f"{med:.6g} [{q1:.6g}, {q3:.6g}]" for med, q1, q3 in (b, c)]
             print(f"{name:<14} {cells[0]:<40} {cells[1]:<40} {pct:>+7.1f}% {m['bound']:>6} "
                   f"{wins:>3}/{len(seeds):<2}  {word}")
+            if name == "cpu_us_per_op":
+                for line in host_lines(host[("base", w)], host[("change", w)], seeds, m["bound"]):
+                    print(line)
         if failed[("change", w)] > failed[("base", w)]:
             worst.append(f"{w}: more failed operations on the change")
     for side, w, seed in broken:
