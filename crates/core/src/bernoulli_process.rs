@@ -4,11 +4,8 @@
 //! A draw `X_j ~ BeP(H)` activates atom `i` with probability `πᵢ`; stacking
 //! draws column-wise gives the binary matrix whose rows are pipes (or
 //! segments) and columns are observation years. Inference never materialises
-//! the matrix — it only needs row sums — but the figure drivers and the
-//! generative checks do, so a compact sparse representation lives here.
-
-use pipefail_stats::dist::Bernoulli;
-use rand::Rng;
+//! the matrix — it only needs row sums — but the Fig. 18.3 driver does, so a
+//! compact sparse representation lives here.
 
 /// A sparse binary matrix stored as per-column active-row lists; rows are
 /// atoms (pipes/segments), columns are draws (years).
@@ -52,17 +49,6 @@ impl BinaryMatrix {
             .is_some_and(|c| c.binary_search(&(row as u32)).is_ok())
     }
 
-    /// Row sums — the sufficient statistic for beta-process posteriors.
-    pub fn row_sums(&self) -> Vec<u64> {
-        let mut sums = vec![0u64; self.rows];
-        for col in &self.columns {
-            for &r in col {
-                sums[r as usize] += 1;
-            }
-        }
-        sums
-    }
-
     /// Total number of ones.
     pub fn ones(&self) -> usize {
         self.columns.iter().map(Vec::len).sum()
@@ -92,28 +78,9 @@ impl BinaryMatrix {
     }
 }
 
-/// Draw `n_draws` Bernoulli-process columns given atom weights `pi`.
-pub fn sample_matrix<R: Rng + ?Sized>(pi: &[f64], n_draws: usize, rng: &mut R) -> BinaryMatrix {
-    let mut m = BinaryMatrix::new(pi.len());
-    let dists: Vec<Bernoulli> = pi
-        .iter()
-        .map(|&p| Bernoulli::new(p.clamp(0.0, 1.0)).expect("clamped"))
-        .collect();
-    for _ in 0..n_draws {
-        let active: Vec<u32> = dists
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.sample_bool(rng).then_some(i as u32))
-            .collect();
-        m.push_column(active);
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipefail_stats::rng::seeded_rng;
 
     #[test]
     fn construction_and_lookup() {
@@ -129,7 +96,6 @@ mod tests {
         assert!(m.get(3, 1));
         assert!(!m.get(0, 2));
         assert_eq!(m.ones(), 4);
-        assert_eq!(m.row_sums(), vec![1, 1, 1, 1]);
     }
 
     #[test]
@@ -137,26 +103,6 @@ mod tests {
         let mut m = BinaryMatrix::new(2);
         m.push_column(vec![0, 5]);
         assert_eq!(m.ones(), 1);
-    }
-
-    #[test]
-    fn sampled_matrix_matches_rates() {
-        let mut rng = seeded_rng(122);
-        let pi = vec![0.0, 0.5, 1.0];
-        let m = sample_matrix(&pi, 2_000, &mut rng);
-        let sums = m.row_sums();
-        assert_eq!(sums[0], 0);
-        assert_eq!(sums[2], 2_000);
-        let mid = sums[1] as f64 / 2_000.0;
-        assert!((mid - 0.5).abs() < 0.05, "{mid}");
-    }
-
-    #[test]
-    fn sparse_regime_density() {
-        let mut rng = seeded_rng(123);
-        let pi = vec![0.01; 500];
-        let m = sample_matrix(&pi, 12, &mut rng);
-        assert!(m.density() < 0.05, "density {}", m.density());
     }
 
     #[test]

@@ -116,17 +116,6 @@ impl PoissonRegression {
         })
     }
 
-    /// Linear predictor including the intercept.
-    pub fn linear_predictor(&self, x: &[f64]) -> f64 {
-        self.intercept
-            + self
-                .coefficients
-                .iter()
-                .zip(x)
-                .map(|(b, v)| b * v)
-                .sum::<f64>()
-    }
-
     /// Relative hazard multiplier `exp(βᵀx)` (intercept excluded), clamped
     /// to `[e⁻³, e³]` so one segment can never dominate the likelihood.
     pub fn multiplier(&self, x: &[f64]) -> f64 {

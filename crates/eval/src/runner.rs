@@ -300,11 +300,6 @@ impl RegionResult {
             .map(|f| f.model.as_str())
             .collect()
     }
-
-    /// Number of models that needed more than one attempt.
-    pub fn retried_count(&self) -> usize {
-        self.fits.iter().filter(|f| f.retried()).count()
-    }
 }
 
 /// Stream offset for retry sub-seeds, far from the small stream ids the

@@ -149,14 +149,6 @@ impl Polyline {
         self.point_at(0.5)
     }
 
-    /// Minimum distance from `p` to any point on the polyline.
-    pub fn distance_to_point(&self, p: Point) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| point_segment_distance(p, w[0], w[1]))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Bounding box of the vertices.
     pub fn bounds(&self) -> Bounds {
         let mut b = Bounds::empty();
@@ -229,18 +221,6 @@ mod tests {
         assert!((point_segment_distance(Point::new(13.0, 4.0), a, b) - 5.0).abs() < 1e-12);
         // degenerate segment
         assert!((point_segment_distance(Point::new(1.0, 1.0), a, a) - 2.0_f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn polyline_distance_to_point() {
-        let pl = Polyline::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(10.0, 0.0),
-            Point::new(10.0, 10.0),
-        ])
-        .unwrap();
-        assert!((pl.distance_to_point(Point::new(12.0, 5.0)) - 2.0).abs() < 1e-12);
-        assert!((pl.distance_to_point(Point::new(5.0, -1.0)) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl TrainTestSplit {
         Self::new(ObservationWindow::new(1998, 2008), ObservationWindow::new(2009, 2009))
     }
 
-    /// The full observation period (train start to test end).
-    pub fn full_window(&self) -> ObservationWindow {
-        ObservationWindow::new(self.train.start, self.test.end)
-    }
-
     /// The year for which predictions are scored (= test start; the paper's
     /// test window is a single year).
     pub fn prediction_year(&self) -> i32 {
@@ -102,7 +97,6 @@ mod tests {
         assert_eq!(s.train.years(), 11);
         assert_eq!(s.test.years(), 1);
         assert_eq!(s.prediction_year(), 2009);
-        assert_eq!(s.full_window().years(), 12);
     }
 
     #[test]

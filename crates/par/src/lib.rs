@@ -115,22 +115,6 @@ impl TaskPool {
             .map(|s| s.expect("scope joined: every slot filled"))
             .collect()
     }
-
-    /// Like [`run`](TaskPool::run) but for fallible tasks: returns the first
-    /// error by **index order** (not completion order, so the winning error
-    /// is deterministic too), or all results.
-    pub fn try_run<T, E, F>(&self, n: usize, task: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        let mut out = Vec::with_capacity(n);
-        for res in self.run(n, task) {
-            out.push(res?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -190,23 +174,6 @@ mod tests {
     fn auto_sizing_is_at_least_one() {
         assert!(TaskPool::new(0).threads() >= 1);
         assert!(TaskPool::default().threads() >= 1);
-    }
-
-    #[test]
-    fn try_run_returns_first_error_by_index() {
-        let pool = TaskPool::new(4);
-        let res: Result<Vec<usize>, String> = pool.try_run(20, |i| {
-            if i == 17 || i == 3 {
-                Err(format!("task {i} failed"))
-            } else {
-                Ok(i)
-            }
-        });
-        // Index order, not completion order: 3 beats 17 regardless of which
-        // worker finishes first.
-        assert_eq!(res.expect_err("tasks 3 and 17 fail"), "task 3 failed");
-        let ok: Result<Vec<usize>, String> = pool.try_run(5, Ok);
-        assert_eq!(ok.expect("no failures"), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -57,6 +57,10 @@ const TOKEN_LISTENER: u64 = 0;
 /// (re-arming reports the remaining bytes at once).
 const READ_BUDGET: usize = 256 * 1024;
 
+/// Largest accepted request (head + body) in bytes; a longer one is
+/// answered `413`.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 /// Largest output-buffer capacity a connection keeps across keep-alive
 /// requests; a huge `/aggregate` body is freed rather than pinned.
 const MAX_KEPT_OUT_BYTES: usize = 1 << 20;
@@ -179,7 +183,6 @@ struct Core {
     request_timeout: Duration,
     idle_timeout: Duration,
     keepalive_requests: usize,
-    max_request_bytes: usize,
     max_connections: usize,
 }
 
@@ -214,7 +217,6 @@ pub(crate) fn spawn(
         request_timeout: Duration::from_secs_f64(config.request_timeout_secs),
         idle_timeout: Duration::from_secs_f64(config.idle_timeout_secs),
         keepalive_requests: config.keepalive_requests,
-        max_request_bytes: config.max_request_bytes,
         max_connections: config.max_connections,
     });
     Ok((0..config.resolved_workers())
@@ -478,7 +480,7 @@ impl Core {
                 }
             }
             if !c.buf.is_empty() {
-                match parser::parse_request(&c.buf, self.max_request_bytes) {
+                match parser::parse_request(&c.buf, MAX_REQUEST_BYTES) {
                     Ok(ParseOutcome::Complete(req, consumed)) => {
                         self.answer(c, req, consumed);
                         continue;

@@ -54,8 +54,8 @@
 use crate::aggregate::{self, AggregateSpec};
 use crate::cache::{self, Answer, ResultCache};
 use crate::http::{
-    self, query_param, render_global_top_k_keys, serve_handler, unknown_region_body_keys,
-    RequestHandler, Response, ServerConfig, ServerHandle,
+    self, positive_f64_env, query_param, render_global_top_k_keys, serve_handler,
+    unknown_region_body_keys, RequestHandler, Response, ServerConfig, ServerHandle,
 };
 use crate::metrics::{Counter, Metrics, Route, ShardCounter};
 use crate::parser::ParsedRequest;
@@ -163,13 +163,6 @@ impl FedConfig {
         }
         cfg
     }
-}
-
-fn positive_f64_env(key: &str) -> Option<f64> {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| *t > 0.0)
 }
 
 fn uint_env(key: &str) -> Option<u64> {

@@ -15,9 +15,9 @@
 //! connection, following the same `PIPEFAIL_*` environment-knob idiom as
 //! the experiment runner's wall-clock budgets.
 //!
-//! When watched snapshot paths are configured, a watcher thread
-//! ([`crate::reload`]) polls them and hot-swaps each shard's scorer on
-//! change — see [`ServerConfig::reload_poll_secs`].
+//! When [`ServerConfig::reload_poll_secs`] is set, a watcher thread
+//! ([`crate::reload`]) polls each shard's snapshot file and hot-swaps that
+//! shard's scorer on change.
 //!
 //! ## Routes
 //!
@@ -31,7 +31,7 @@
 //! | `GET /model` | snapshot identity + posterior-summary inventory (sharded: the full shard inventory) |
 //! | `POST /batch` | one query per line (`[region=R ]top K` / `region=R pipe ID`), answered in order on the serving thread |
 //! | `POST /aggregate` | declarative group-by/aggregate pipeline (body = JSON spec, see `docs/AGGREGATE.md`) computed per-shard on the task pool and merged deterministically; `?partial=1` answers the merge-ready partial state (the federation scatter leg) |
-//! | `GET /riskmap.svg` | Fig 18.9 risk map (single-snapshot mode with a dataset only) |
+//! | `GET /riskmap.svg` | Fig 18.9 risk map (one shard with a dataset only) |
 //! | `GET /metrics` | Prometheus text exposition (sharded: per-shard `shard="R"` series) |
 
 use crate::aggregate::{self, AggregateSpec};
@@ -48,7 +48,6 @@ use pipefail_network::split::TrainTestSplit;
 use pipefail_par::TaskPool;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -112,14 +111,11 @@ pub struct ServerConfig {
     /// Maximum requests served on one connection before the server answers
     /// `Connection: close` (`0` = unlimited).
     pub keepalive_requests: usize,
-    /// Maximum accepted request size (head + body) in bytes.
-    pub max_request_bytes: usize,
     /// Snapshot hot-reload poll interval in seconds; `0` disables the
-    /// watcher. Requires [`ServerConfig::snapshot_path`].
+    /// watcher. Each shard watches the file its scorer was loaded from
+    /// ([`Scorer::path`]), so a positive interval needs at least one shard
+    /// loaded from a file.
     pub reload_poll_secs: f64,
-    /// Snapshot file watched for hot-reload (usually the file the scorer
-    /// was loaded from).
-    pub snapshot_path: Option<PathBuf>,
     /// Maximum open connections (`0` = unlimited). See
     /// [`HTTP_MAX_CONNS_ENV`].
     pub max_connections: usize,
@@ -139,9 +135,7 @@ impl Default for ServerConfig {
             request_timeout_secs: 10.0,
             idle_timeout_secs: 5.0,
             keepalive_requests: 100,
-            max_request_bytes: 64 * 1024,
             reload_poll_secs: 0.0,
-            snapshot_path: None,
             max_connections: 8192,
             cache: true,
             cache_bytes: 64 * 1024 * 1024,
@@ -212,12 +206,6 @@ impl ServerConfig {
         self
     }
 
-    /// This configuration watching `path` for snapshot hot-reload.
-    pub fn with_snapshot_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.snapshot_path = Some(path.into());
-        self
-    }
-
     pub(crate) fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
@@ -232,7 +220,9 @@ impl ServerConfig {
     }
 }
 
-fn positive_f64_env(key: &str) -> Option<f64> {
+/// A positive `f64` from environment variable `key`; unset, unparsable and
+/// non-positive values read as `None`.
+pub(crate) fn positive_f64_env(key: &str) -> Option<f64> {
     std::env::var(key)
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
@@ -255,8 +245,8 @@ pub struct ServeContext {
 }
 
 impl ServeContext {
-    /// Context serving one `scorer` (legacy single-snapshot mode),
-    /// aggregating over `PIPEFAIL_THREADS`.
+    /// Context serving one `scorer` as a one-shard set, aggregating over
+    /// `PIPEFAIL_THREADS`.
     pub fn new(scorer: Scorer) -> Self {
         Self::sharded(ShardSet::single(scorer))
     }
@@ -273,7 +263,7 @@ impl ServeContext {
 
     /// This context with the dataset the model was fitted on, enabling
     /// `GET /riskmap.svg` (the Fig 18.9 renderer of `pipefail-eval` over
-    /// the served ranking; single-snapshot mode only).
+    /// the served ranking; one-shard sets only).
     pub fn with_dataset(mut self, dataset: Dataset) -> Self {
         self.dataset = Some(dataset);
         self
@@ -285,19 +275,11 @@ impl ServeContext {
     }
 
     /// The currently active scoring engine of the *first* shard — the
-    /// single-snapshot accessor (a one-shard set is exactly the legacy
-    /// server). The returned `Arc` is a stable view: it keeps answering
-    /// consistently even if a hot-reload swaps the shard's scorer
-    /// mid-request.
+    /// single-snapshot accessor. The returned `Arc` is a stable view: it
+    /// keeps answering consistently even if a hot-reload swaps the shard's
+    /// scorer mid-request.
     pub fn scorer(&self) -> Arc<Scorer> {
         self.shards.shards()[0].last_good()
-    }
-
-    /// Atomically replace the first shard's active scorer (the
-    /// single-snapshot hot-reload swap), returning the new shared handle.
-    /// Never blocks readers for longer than one pointer store.
-    pub fn swap_scorer(&self, scorer: Scorer) -> Arc<Scorer> {
-        self.shards.shards()[0].swap(scorer)
     }
 }
 
@@ -396,9 +378,9 @@ pub(crate) fn retry_after_secs(reload_poll_secs: f64) -> u64 {
 /// snapshot-reload watcher, and return immediately.
 pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHandle, ServeError> {
     let any_shard_path = ctx.shards().shards().iter().any(|s| s.path().is_some());
-    if config.reload_poll_secs > 0.0 && config.snapshot_path.is_none() && !any_shard_path {
+    if config.reload_poll_secs > 0.0 && !any_shard_path {
         return Err(ServeError::BadConfig(
-            "reload_poll_secs set but no snapshot_path to watch".into(),
+            "reload_poll_secs set but no shard was loaded from a file to watch".into(),
         ));
     }
     let metrics = Arc::new(Metrics::with_shards(
@@ -411,13 +393,11 @@ pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHand
     });
     let watcher_metrics = Arc::clone(&metrics);
     let poll = config.reload_poll_secs;
-    let snapshot_path = config.snapshot_path.clone();
     serve_handler(handler, metrics, config, move |shutdown| {
         if poll > 0.0 {
             vec![reload::spawn_watcher(
                 ctx,
                 watcher_metrics,
-                snapshot_path,
                 Duration::from_secs_f64(poll),
                 Arc::clone(shutdown),
             )]
@@ -691,9 +671,9 @@ pub(crate) fn unknown_region_body_keys<'a>(
     )
 }
 
-/// The typed 503 body for a degraded shard (corrupt hot-swap under
-/// [`crate::shards::ReloadPolicy::Degrade`]); names the shard so the
-/// client knows every *other* region is still serving.
+/// The typed 503 body for a degraded shard (a corrupt hot-swap in a set of
+/// two or more shards); names the shard so the client knows every *other*
+/// region is still serving.
 fn degraded_shard_body(key: &str, reason: &str) -> String {
     format!(
         "{{\"error\":{},\"shard\":{}}}",
@@ -1346,7 +1326,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_scorer_changes_answers_and_keeps_old_arcs_valid() {
+    fn shard_swap_changes_answers_and_keeps_old_arcs_valid() {
         let ctx = ServeContext::new(test_scorer());
         let before = ctx.scorer();
         let replacement = Scorer::new(Snapshot::new(
@@ -1356,7 +1336,7 @@ mod tests {
             &RiskRanking::new(vec![RiskScore { pipe: PipeId(99), score: 0.5 }]),
         ))
         .expect("valid snapshot");
-        let after = ctx.swap_scorer(replacement);
+        let after = ctx.shards().shards()[0].swap(replacement);
         // The old handle still answers from the old table (in-flight
         // requests are undisturbed)…
         assert_eq!(before.model(), "DPMHBP");

@@ -44,12 +44,12 @@
 //!   region-less `/top` scatter-gathers a global top-K with a bounded
 //!   k-way merge (O(shards·k), never re-sorting the union).
 //! * [`reload`] — snapshot hot-reload: an mtime-polling watcher with a
-//!   per-shard `(mtime, len, inode)` stamp that atomically swaps each
-//!   shard's scorer behind an `Arc` so a re-fitted model goes live with
-//!   zero downtime. A corrupt replacement is rejected by the strict
-//!   loader; in single-snapshot mode the old model keeps serving, in
-//!   sharded mode only that shard degrades to a typed 503 until a valid
-//!   snapshot heals it.
+//!   per-shard `(mtime, len, inode)` stamp on the file each shard's scorer
+//!   was loaded from, atomically swapping that shard's scorer behind an
+//!   `Arc` so a re-fitted model goes live with zero downtime. A corrupt
+//!   replacement is rejected by the strict loader; a one-shard server
+//!   keeps serving the old model, and in a set of two or more only that
+//!   shard degrades to a typed 503 until a valid snapshot heals it.
 //! * [`aggregate`] — the declarative `POST /aggregate` analytics engine:
 //!   a typed JSON pipeline spec (group by `region`/`material`/`decade`;
 //!   `count`/`sum`/`avg`/`min`/`max` over risk and pipe length; optional
@@ -113,7 +113,7 @@ pub use parser::{ParseError, ParseOutcome, ParsedRequest};
 pub use scorer::{
     AttributesView, PipeRisk, Query, QueryResult, RiskSlice, RiskSliceIter, SectionInfo, Scorer,
 };
-pub use shards::{merge_top_k, region_key, GlobalRisk, ReloadPolicy, Shard, ShardSet};
+pub use shards::{merge_top_k, region_key, GlobalRisk, Shard, ShardSet};
 
 use pipefail_core::snapshot::SnapshotError;
 

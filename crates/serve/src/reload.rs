@@ -16,18 +16,22 @@
 //! (`crate::cache`) — reload correctness and cache correctness are the
 //! same atomic event, not two clocks to keep in sync.
 //!
+//! Each shard watches the file its scorer was loaded from
+//! ([`Scorer::path`]); a shard built from an in-memory scorer is never
+//! reloaded.
+//!
 //! A corrupt or truncated replacement is rejected with a typed error,
 //! logged, and counted in `pipefail_reload_failures_total` (and the
 //! shard's own `pipefail_shard_reload_failures` series). What happens next
-//! depends on the shard set's [`ReloadPolicy`]:
+//! depends on how many shards the set holds (the [`crate::shards`] module
+//! docs say why):
 //!
-//! * [`ReloadPolicy::KeepLastGood`] (single-snapshot mode): the previous
-//!   scorer keeps serving every request, invisibly to clients.
-//! * [`ReloadPolicy::Degrade`] (sharded mode): *that shard only* starts
-//!   answering a typed `503` until a valid snapshot lands — a region
-//!   silently pinned to last week's model while its siblings move on is
-//!   the invisible failure mode sharded serving refuses. The shard heals
-//!   on the next valid swap.
+//! * one shard: the previous scorer keeps serving every request, invisibly
+//!   to clients;
+//! * two or more: *that shard only* starts answering a typed `503` until a
+//!   valid snapshot lands — a region silently pinned to last week's model
+//!   while its siblings move on is the invisible failure mode sharded
+//!   serving refuses. The shard heals on the next valid swap.
 //!
 //! ## Replace snapshots by atomic rename
 //!
@@ -53,15 +57,11 @@
 //! one).
 //!
 //! [`ServerConfig::reload_poll_secs`]: crate::http::ServerConfig
-//! [`ReloadPolicy`]: crate::shards::ReloadPolicy
-//! [`ReloadPolicy::KeepLastGood`]: crate::shards::ReloadPolicy::KeepLastGood
-//! [`ReloadPolicy::Degrade`]: crate::shards::ReloadPolicy::Degrade
 
 use crate::http::ServeContext;
 use crate::metrics::{Counter, Metrics, ShardCounter};
 use crate::scorer::Scorer;
-use crate::shards::ReloadPolicy;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -94,11 +94,9 @@ pub(crate) fn sleep_interruptible(total: Duration, shutdown: &AtomicBool) {
     }
 }
 
-/// Spawn the watcher thread over every watched shard path. Each shard's
-/// own snapshot path is watched; `override_path` (the legacy
-/// `ServerConfig::snapshot_path`) stands in for the *first* shard when it
-/// has none — exactly the single-snapshot configuration. Joined by
-/// `ServerHandle::shutdown` via the shared shutdown flag.
+/// Spawn the watcher thread over every shard that has a file
+/// ([`crate::shards::Shard::path`]). Joined by `ServerHandle::shutdown` via
+/// the shared shutdown flag.
 ///
 /// The baseline stamps are taken here, before the thread exists: `serve`
 /// returns only after this call, so any file replaced after `serve`
@@ -106,43 +104,29 @@ pub(crate) fn sleep_interruptible(total: Duration, shutdown: &AtomicBool) {
 pub(crate) fn spawn_watcher(
     ctx: Arc<ServeContext>,
     metrics: Arc<Metrics>,
-    override_path: Option<PathBuf>,
     poll: Duration,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    // The effective watch list, parallel to the shard set: a shard
-    // without a path (built in-process) is simply never reloaded.
-    let paths: Vec<Option<PathBuf>> = ctx
+    let mut last: Vec<Option<(SystemTime, u64, u64)>> = ctx
         .shards()
         .shards()
         .iter()
-        .enumerate()
-        .map(|(i, shard)| {
-            shard
-                .path()
-                .map(Path::to_path_buf)
-                .or_else(|| if i == 0 { override_path.clone() } else { None })
-        })
-        .collect();
-    let mut last: Vec<Option<(SystemTime, u64, u64)>> = paths
-        .iter()
-        .map(|p| p.as_deref().and_then(stamp))
+        .map(|shard| shard.path().and_then(stamp))
         .collect();
     std::thread::spawn(move || {
-        let policy = ctx.shards().policy();
+        let shards = ctx.shards();
         while !shutdown.load(Ordering::SeqCst) {
             sleep_interruptible(poll, &shutdown);
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            for (idx, path) in paths.iter().enumerate() {
-                let Some(path) = path.as_deref() else { continue };
+            for (idx, shard) in shards.shards().iter().enumerate() {
+                let Some(path) = shard.path() else { continue };
                 let current = stamp(path);
                 if current.is_none() || current == last[idx] {
                     continue;
                 }
                 last[idx] = current;
-                let shard = &ctx.shards().shards()[idx];
                 // Strict load first, swap only on success: requests racing
                 // this reload either hold the old Arc or pick up the new
                 // one whole.
@@ -161,19 +145,18 @@ pub(crate) fn spawn_watcher(
                     Err(e) => {
                         metrics.add(Counter::ReloadFailures, 1);
                         metrics.shard_add(idx, ShardCounter::ReloadFailures);
-                        match policy {
-                            ReloadPolicy::KeepLastGood => eprintln!(
+                        if shards.is_single() {
+                            eprintln!(
                                 "pipefail-serve: rejected snapshot {}: {e}; keeping previous scorer",
                                 path.display()
-                            ),
-                            ReloadPolicy::Degrade => {
-                                shard.degrade(e.to_string());
-                                eprintln!(
-                                    "pipefail-serve: rejected snapshot {}: {e}; shard {:?} degraded until a valid snapshot lands",
-                                    path.display(),
-                                    shard.key()
-                                );
-                            }
+                            );
+                        } else {
+                            shard.degrade(e.to_string());
+                            eprintln!(
+                                "pipefail-serve: rejected snapshot {}: {e}; shard {:?} degraded until a valid snapshot lands",
+                                path.display(),
+                                shard.key()
+                            );
                         }
                     }
                 }

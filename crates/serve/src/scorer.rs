@@ -33,7 +33,7 @@ use pipefail_network::ids::PipeId;
 use pipefail_par::TaskPool;
 use std::io::Read;
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// One pipe's served risk: its score and its position in the ranking
@@ -271,6 +271,7 @@ pub struct Scorer {
     region: String,
     seed: u64,
     format: SnapshotFormat,
+    path: Option<PathBuf>,
     columns: Arc<Columns>,
 }
 
@@ -289,15 +290,21 @@ impl Scorer {
 
     /// Load a snapshot file: v2 files are memory-mapped (one strict
     /// validation pass over the mapped bytes, then zero-copy serving); v1
-    /// files are parsed and held as an owned v2 copy.
+    /// files are parsed and held as an owned v2 copy. The scorer remembers
+    /// `path` ([`Scorer::path`]).
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
         let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
-        if peek_version(path)? == SNAPSHOT_VERSION_V2 {
-            Self::from_bytes(sys::Mapping::map_path(path).map_err(io)?, SnapshotFormat::V2)
+        let mut scorer = if peek_version(path)? == SNAPSHOT_VERSION_V2 {
+            Self::from_bytes(
+                sys::Mapping::map_path(path).map_err(io)?,
+                SnapshotFormat::V2,
+            )?
         } else {
             let snapshot = Snapshot::from_bytes(&std::fs::read(path).map_err(io)?)?;
-            Self::from_snapshot(&snapshot, SnapshotFormat::V1)
-        }
+            Self::from_snapshot(&snapshot, SnapshotFormat::V1)?
+        };
+        scorer.path = Some(path.to_path_buf());
+        Ok(scorer)
     }
 
     /// Validate v2 `bytes` in place and serve from them.
@@ -313,6 +320,7 @@ impl Scorer {
             region,
             seed: layout.seed,
             format,
+            path: None,
             columns: Arc::new(Columns { bytes, layout, summary_attrs }),
         })
     }
@@ -336,6 +344,13 @@ impl Scorer {
     /// scorers report v1, the format `Snapshot::to_bytes` writes.
     pub fn format(&self) -> SnapshotFormat {
         self.format
+    }
+
+    /// The file this scorer was loaded from ([`Scorer::load`]); `None` for
+    /// an in-memory snapshot ([`Scorer::new`]). A served shard watches this
+    /// file for hot-reload (see [`crate::reload`]).
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 
     /// True when the scorer serves directly from a memory-mapped file.
@@ -671,6 +686,7 @@ mod tests {
         assert_eq!(s.format(), SnapshotFormat::V1);
         assert!(!s.mapped());
         assert_eq!(s.loader(), "heap");
+        assert_eq!(s.path(), None);
     }
 
     #[test]
@@ -683,6 +699,7 @@ mod tests {
         assert_eq!(v1.format(), SnapshotFormat::V1);
         assert!(!v1.mapped());
         assert_eq!(v1.loader(), "heap");
+        assert_eq!(v1.path(), Some(v1_path.as_path()));
 
         let v2_path = temp_path("negotiate_v2");
         snap.save_as(&v2_path, SnapshotFormat::V2).expect("save v2");
@@ -690,6 +707,7 @@ mod tests {
         assert_eq!(v2.format(), SnapshotFormat::V2);
         assert!(v2.mapped());
         assert_eq!(v2.loader(), "mmap");
+        assert_eq!(v2.path(), Some(v2_path.as_path()));
 
         // All three (with the in-memory scorer) answer identically.
         let mem = scorer();

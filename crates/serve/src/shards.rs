@@ -4,8 +4,9 @@
 //! wastewater vs. regional bins), so a utility covering a whole metropolis
 //! fits one model per region and wants all of them served from one
 //! process. A [`ShardSet`] holds one [`Shard`] per region: each shard is
-//! the familiar `RwLock<Arc<Scorer>>` hot-swap cell plus its own snapshot
-//! path, so shards load, serve, reload, and fail independently.
+//! the familiar `RwLock<Arc<Scorer>>` hot-swap cell plus the snapshot file
+//! its scorer was loaded from, so shards load, serve, reload, and fail
+//! independently. A single-snapshot server is a one-shard set.
 //!
 //! * **Loading** (`load_dir` / `load_paths`) strict-validates every
 //!   snapshot **in parallel** on the caller's [`TaskPool`]; any corrupt
@@ -21,22 +22,18 @@
 //!   O(shards · k) — the union of all shards is never materialised or
 //!   re-sorted.
 //! * **Hot-reload is per-shard**: one region's refresh never blocks or
-//!   invalidates the others. Under [`ReloadPolicy::Degrade`] (the sharded
-//!   default) a corrupt replacement marks *only that shard* unavailable
-//!   (typed 503) until a valid snapshot lands, while every other region
-//!   keeps serving; [`ReloadPolicy::KeepLastGood`] preserves the legacy
-//!   single-snapshot behaviour of serving the previous model.
+//!   invalidates the others (see [`crate::reload`]).
 //!
-//! ## Why the two reload policies differ
+//! ## What a rejected replacement does depends on the shard count
 //!
-//! A single-snapshot server has exactly one model: serving the last good
-//! one through a botched publish beats serving nothing, so rejection is
-//! silent-but-counted. In a sharded deployment the region's ranking is one
+//! A one-shard set has exactly one model: serving the last good one
+//! through a botched publish beats serving nothing, so rejection is
+//! silent-but-counted. In a set of two or more the region's ranking is one
 //! of many sibling artefacts refreshed together; a region silently pinned
 //! to last week's model while its siblings move on is the *invisible*
-//! failure mode, so the sharded default is to fail loudly — a typed 503
-//! for that region only — until the publish is fixed. The shard heals the
-//! moment a valid snapshot replaces the corrupt one.
+//! failure mode, so the shard degrades instead — a typed 503 for that
+//! region only — until the publish is fixed. The shard heals the moment a
+//! valid snapshot replaces the corrupt one.
 
 use crate::scorer::{PipeRisk, RiskSlice, Scorer};
 use crate::ServeError;
@@ -45,19 +42,6 @@ use pipefail_par::TaskPool;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// What a shard serves after its snapshot is replaced with a corrupt file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReloadPolicy {
-    /// Keep answering from the last good scorer (legacy single-snapshot
-    /// behaviour): a bad publish is rejected, counted, and retried on the
-    /// next file change, invisibly to clients.
-    KeepLastGood,
-    /// Mark the shard unavailable: queries for that region answer a typed
-    /// `503` until a valid snapshot lands, while every other shard keeps
-    /// serving (the sharded default — see the module docs for why).
-    Degrade,
-}
 
 /// The canonical routing key for a region name: lowercase with spaces
 /// replaced by underscores — the same convention `pipefail generate` uses
@@ -70,7 +54,7 @@ pub fn region_key(region: &str) -> String {
 
 /// A shard's swap cell: the active scorer plus an optional fault. The
 /// scorer is always the *last good* model (so recovery and diagnostics
-/// never lose it); `fault` is `Some` only under [`ReloadPolicy::Degrade`]
+/// never lose it); `fault` is `Some` only in a set of two or more shards
 /// after a corrupt replacement, and makes the shard answer 503.
 #[derive(Debug)]
 struct ShardState {
@@ -94,10 +78,10 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(scorer: Scorer, path: Option<PathBuf>) -> Self {
+    fn new(scorer: Scorer) -> Self {
         Self {
             key: region_key(scorer.region()),
-            path,
+            path: scorer.path().map(Path::to_path_buf),
             state: RwLock::new(ShardState {
                 scorer: Arc::new(scorer),
                 fault: None,
@@ -111,15 +95,16 @@ impl Shard {
         &self.key
     }
 
-    /// The snapshot file this shard was loaded from (watched for reload),
-    /// if any.
+    /// The snapshot file this shard's first scorer was loaded from
+    /// ([`Scorer::path`]), watched for reload; `None` for an in-memory
+    /// scorer.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
     }
 
     /// The active scorer if the shard is serving, or the degradation
-    /// reason if a corrupt hot-swap took it out
-    /// ([`ReloadPolicy::Degrade`] only).
+    /// reason if a corrupt hot-swap took it out (sets of two or more
+    /// shards only).
     pub fn serving(&self) -> Result<Arc<Scorer>, String> {
         let state = self.state.read().unwrap_or_else(|p| p.into_inner());
         match &state.fault {
@@ -160,8 +145,8 @@ impl Shard {
         fresh
     }
 
-    /// Mark the shard unavailable ([`ReloadPolicy::Degrade`] after a
-    /// corrupt replacement). The last good scorer is retained for
+    /// Mark the shard unavailable (a corrupt replacement in a set of two
+    /// or more shards). The last good scorer is retained for
     /// diagnostics but no longer served. Bumps the epoch: cached bodies
     /// from the healthy state must not outlive the degradation.
     pub(crate) fn degrade(&self, reason: String) {
@@ -195,24 +180,36 @@ pub struct ShardSet {
     /// Sorted by `key` — lookup is binary search, iteration order is
     /// deterministic, and the scatter-gather tie-break follows this order.
     shards: Vec<Shard>,
-    policy: ReloadPolicy,
 }
 
 impl ShardSet {
-    /// A one-shard set with legacy single-snapshot semantics
-    /// ([`ReloadPolicy::KeepLastGood`]).
+    /// A one-shard set: the single-snapshot server.
     pub fn single(scorer: Scorer) -> Self {
         Self {
-            shards: vec![Shard::new(scorer, None)],
-            policy: ReloadPolicy::KeepLastGood,
+            shards: vec![Shard::new(scorer)],
         }
     }
 
-    /// Build a sharded set from already-loaded scorers (no watched paths).
-    /// Fails on an empty list or on two scorers mapping to the same
-    /// region key.
+    /// Build a set from already-loaded scorers; each shard watches the file
+    /// its scorer was loaded from, if any. Fails on an empty list or on two
+    /// scorers mapping to the same region key.
     pub fn from_scorers(scorers: Vec<Scorer>) -> Result<Self, ServeError> {
-        Self::assemble(scorers.into_iter().map(|s| (s, None)).collect())
+        if scorers.is_empty() {
+            return Err(ServeError::BadConfig(
+                "a shard set needs at least one shard".into(),
+            ));
+        }
+        let mut shards: Vec<Shard> = scorers.into_iter().map(Shard::new).collect();
+        shards.sort_by(|a, b| a.key.cmp(&b.key));
+        if let Some(w) = shards.windows(2).find(|w| w[0].key == w[1].key) {
+            return Err(ServeError::BadConfig(format!(
+                "two snapshots map to the same region key {:?} (regions {:?} and {:?})",
+                w[0].key,
+                w[0].last_good().region(),
+                w[1].last_good().region(),
+            )));
+        }
+        Ok(Self { shards })
     }
 
     /// Load and strict-validate one snapshot per path, **in parallel** on
@@ -220,24 +217,19 @@ impl ShardSet {
     /// the first failing path *in input order* (deterministic at any
     /// thread count); duplicate region keys are rejected.
     pub fn load_paths(paths: &[PathBuf], pool: &TaskPool) -> Result<Self, ServeError> {
-        if paths.is_empty() {
-            return Err(ServeError::BadConfig("no snapshot paths to load".into()));
-        }
         let loaded: Vec<Result<Scorer, SnapshotError>> =
             pool.run(paths.len(), |i| Scorer::load(&paths[i]));
-        let mut shards = Vec::with_capacity(paths.len());
-        for (path, result) in paths.iter().zip(loaded) {
-            match result {
-                Ok(scorer) => shards.push((scorer, Some(path.clone()))),
-                Err(error) => {
-                    return Err(ServeError::Shard {
-                        path: path.display().to_string(),
-                        error,
-                    });
-                }
-            }
-        }
-        Self::assemble(shards)
+        let scorers = paths
+            .iter()
+            .zip(loaded)
+            .map(|(path, result)| {
+                result.map_err(|error| ServeError::Shard {
+                    path: path.display().to_string(),
+                    error,
+                })
+            })
+            .collect::<Result<Vec<Scorer>, ServeError>>()?;
+        Self::from_scorers(scorers)
     }
 
     /// Load every `*.pfsnap` file in `dir` (sorted by file name for a
@@ -258,29 +250,6 @@ impl ShardSet {
         Self::load_paths(&paths, pool)
     }
 
-    fn assemble(scorers: Vec<(Scorer, Option<PathBuf>)>) -> Result<Self, ServeError> {
-        if scorers.is_empty() {
-            return Err(ServeError::BadConfig("a shard set needs at least one shard".into()));
-        }
-        let mut shards: Vec<Shard> = scorers
-            .into_iter()
-            .map(|(scorer, path)| Shard::new(scorer, path))
-            .collect();
-        shards.sort_by(|a, b| a.key.cmp(&b.key));
-        if let Some(w) = shards.windows(2).find(|w| w[0].key == w[1].key) {
-            return Err(ServeError::BadConfig(format!(
-                "two snapshots map to the same region key {:?} (regions {:?} and {:?})",
-                w[0].key,
-                w[0].last_good().region(),
-                w[1].last_good().region(),
-            )));
-        }
-        Ok(Self {
-            shards,
-            policy: ReloadPolicy::Degrade,
-        })
-    }
-
     /// Number of shards (always ≥ 1).
     pub fn len(&self) -> usize {
         self.shards.len()
@@ -296,11 +265,6 @@ impl ShardSet {
     /// (exactly one shard).
     pub fn is_single(&self) -> bool {
         self.shards.len() == 1
-    }
-
-    /// What a corrupt hot-swap does to a shard.
-    pub fn policy(&self) -> ReloadPolicy {
-        self.policy
     }
 
     /// The shards, sorted by routing key.
@@ -335,8 +299,8 @@ impl ShardSet {
         self.shards.iter().map(|s| s.epoch()).sum()
     }
 
-    /// Routing keys of shards currently refusing requests (Degrade policy
-    /// after a failed reload), in shard order. Empty when fully healthy —
+    /// Routing keys of shards currently refusing requests (degraded after
+    /// a failed reload), in shard order. Empty when fully healthy —
     /// the `/healthz` answer is derived from this.
     pub fn degraded_keys(&self) -> Vec<String> {
         self.shards
@@ -462,7 +426,6 @@ mod tests {
         assert_eq!(set.index_of("region_z"), None);
         assert_eq!(set.get("region_c").unwrap().last_good().region(), "Region C");
         assert!(!set.is_single());
-        assert_eq!(set.policy(), ReloadPolicy::Degrade);
     }
 
     #[test]
@@ -491,7 +454,6 @@ mod tests {
     fn single_uses_keep_last_good_policy() {
         let set = ShardSet::single(scorer("Region A", &[(0, 1.0)]));
         assert!(set.is_single());
-        assert_eq!(set.policy(), ReloadPolicy::KeepLastGood);
         assert_eq!(set.keys().collect::<Vec<_>>(), ["region_a"]);
     }
 

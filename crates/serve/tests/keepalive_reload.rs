@@ -9,7 +9,9 @@
 //! * a snapshot swap on disk changes the served ranking with zero failed
 //!   requests for a client polling mid-stream, while a corrupt replacement
 //!   is rejected and the old scorer keeps serving;
-//! * a replacement published the moment `serve` returns is reloaded.
+//! * a replacement published the moment `serve` returns is reloaded;
+//! * a scorer loaded from a file is watched with no more configuration
+//!   than a poll interval.
 
 mod common;
 
@@ -177,7 +179,6 @@ fn hot_reload_swaps_ranking_mid_stream_with_zero_failed_requests() {
     let scorer_a = Scorer::load(&path).expect("load snapshot");
     let config = ServerConfig {
         reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     };
     let handle = serve(Arc::new(ServeContext::new(scorer_a)), &config).expect("server starts");
@@ -231,7 +232,6 @@ fn corrupt_replacement_is_rejected_and_the_old_scorer_keeps_serving() {
 
     let config = ServerConfig {
         reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     };
     let handle = serve(
@@ -296,7 +296,6 @@ fn replacement_renamed_as_serve_returns_is_reloaded() {
 
     let config = ServerConfig {
         reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     };
     let ctx = Arc::new(ServeContext::new(Scorer::load(&path).expect("load")));
@@ -353,4 +352,43 @@ fn http10_and_explicit_close_both_disable_reuse() {
     response.assert_connection("close");
     conn.assert_eof();
     handle.shutdown();
+}
+
+/// A loaded scorer remembers its file, so serving it with a poll interval
+/// and nothing else arms the watcher on that file.
+#[test]
+fn a_loaded_scorer_is_watched_with_only_a_poll_interval() {
+    let path = temp_path("own_path.pfsnap");
+    let staged = temp_path("own_path.staged");
+    snapshot(20, 1.0, 0)
+        .save(&path)
+        .expect("save initial snapshot");
+    let loaded = Scorer::load(&path).expect("load");
+    assert_eq!(loaded.path(), Some(path.as_path()));
+
+    let config = ServerConfig {
+        reload_poll_secs: 0.05,
+        ..ServerConfig::default()
+    };
+    let handle = serve(Arc::new(ServeContext::new(loaded)), &config).expect("server starts");
+
+    let replacement = snapshot(20, 3.0, 1);
+    let reference = render_top_k(
+        &Scorer::new(replacement.clone()).expect("valid snapshot"),
+        5,
+    );
+    replacement.save(&staged).expect("stage replacement");
+    std::fs::rename(&staged, &path).expect("atomic rename");
+    let metrics = handle.metrics();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.reloads_total() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the scorer's own file was never reloaded"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(get_once(handle.addr(), "/top?k=5").body, reference);
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
 }

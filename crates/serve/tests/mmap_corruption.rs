@@ -269,7 +269,6 @@ fn corrupt_v2_replacement_keeps_the_mapped_scorer_serving() {
 
     let config = ServerConfig {
         reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     };
     let handle = serve(Arc::new(ServeContext::new(scorer)), &config).expect("server starts");

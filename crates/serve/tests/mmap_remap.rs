@@ -71,7 +71,6 @@ fn remap_under_load_loses_zero_requests() {
 
     let config = ServerConfig {
         reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     };
     let handle = serve(Arc::new(ServeContext::new(scorer)), &config).expect("server starts");

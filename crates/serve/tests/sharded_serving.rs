@@ -10,7 +10,9 @@
 //!   (typed 503) while concurrent keep-alive clients of sibling regions
 //!   complete with zero failures — and a valid replacement heals it;
 //! * a live valid hot-swap of one shard never perturbs another shard's
-//!   bytes.
+//!   bytes;
+//! * a one-shard set loaded from a directory keeps serving its last good
+//!   scorer through a corrupt replacement, like a single-snapshot server.
 
 mod common;
 
@@ -19,7 +21,7 @@ use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::Snapshot;
 use pipefail_network::ids::PipeId;
 use pipefail_par::TaskPool;
-use pipefail_serve::http::render_top_k;
+use pipefail_serve::http::{render_model, render_pipe_risk, render_top_k};
 use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig, ShardSet};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -365,6 +367,85 @@ fn live_hot_swap_of_one_shard_never_affects_another() {
     };
     assert_eq!(reloads("region_a"), 1, "{exposition}");
     assert_eq!(reloads("region_b"), 0, "{exposition}");
+
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a corrupt replacement does depends on the shard count, not on the
+/// constructor: a one-shard set loaded with `load_dir` is the
+/// single-snapshot server, so a corrupt file renamed over its snapshot is
+/// rejected and counted while every route keeps answering 200 from the
+/// last good model. A valid replacement afterwards still swaps in.
+#[test]
+fn one_shard_dir_keeps_its_last_good_scorer_through_a_corrupt_replacement() {
+    let dir = temp_dir("one_shard");
+    let path = dir.join("region_a.pfsnap");
+    let staged = dir.join("region_a.staged");
+    snapshot("Region A", 25, 1.0).save(&path).expect("save A");
+
+    let set = ShardSet::load_dir(&dir, &TaskPool::new(2)).expect("load shard dir");
+    assert!(set.is_single());
+    let old = set.shards()[0].last_good();
+    let expected = [
+        ("/top?k=3", render_top_k(&old, 3)),
+        (
+            "/pipe?id=1",
+            render_pipe_risk(&old.risk_of(PipeId(1)).expect("ranked")),
+        ),
+        ("/model", render_model(&old)),
+        ("/healthz", "{\"status\":\"ok\"}".to_string()),
+    ];
+    let config = ServerConfig {
+        reload_poll_secs: 0.05,
+        ..ServerConfig::default()
+    };
+    let handle = serve(Arc::new(ServeContext::sharded(set)), &config).expect("server starts");
+    let addr = handle.addr();
+    let metrics = handle.metrics();
+
+    // Publish garbage by atomic rename: one stamp change, one rejection.
+    std::fs::write(&staged, b"PFSNAPgarbage-that-is-not-a-snapshot").expect("stage corrupt");
+    std::fs::rename(&staged, &path).expect("rename corrupt");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.reload_failures_total() == 0 {
+        assert!(Instant::now() < deadline, "reload failure never recorded");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    for (route, body) in &expected {
+        let response = get_once(addr, route);
+        assert_eq!(response.status, 200, "{route}: {}", response.body);
+        assert_eq!(
+            &response.body, body,
+            "{route} changed after a rejected replacement"
+        );
+    }
+    let exposition = get_once(addr, "/metrics").body;
+    assert!(
+        exposition
+            .lines()
+            .any(|l| l == "pipefail_reload_failures_total 1"),
+        "{exposition}"
+    );
+    assert_eq!(metrics.reloads_total(), 0);
+
+    // A valid replacement renamed over the corrupt file goes live.
+    let replacement = snapshot("Region A", 25, 5.0);
+    let reference = render_top_k(
+        &Scorer::new(replacement.clone()).expect("valid snapshot"),
+        3,
+    );
+    replacement.save(&staged).expect("stage replacement");
+    std::fs::rename(&staged, &path).expect("rename replacement");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.reloads_total() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "valid replacement never reloaded"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(get_once(addr, "/top?k=3").body, reference);
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();

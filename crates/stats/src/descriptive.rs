@@ -30,11 +30,6 @@ pub fn std_dev(xs: &[f64]) -> Result<f64> {
     variance(xs).map(f64::sqrt)
 }
 
-/// Standard error of the mean.
-pub fn std_error(xs: &[f64]) -> Result<f64> {
-    Ok(std_dev(xs)? / (xs.len() as f64).sqrt())
-}
-
 /// Median (interpolated for even lengths). Sorts a copy.
 pub fn median(xs: &[f64]) -> Result<f64> {
     quantile(xs, 0.5)
@@ -119,18 +114,6 @@ pub fn ranks(xs: &[f64]) -> Result<Vec<f64>> {
         i = j + 1;
     }
     Ok(out)
-}
-
-/// Weighted mean with non-negative weights.
-pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> Result<f64> {
-    if xs.len() != ws.len() {
-        return Err(StatsError::BadParameter("weighted_mean needs equal lengths"));
-    }
-    let total: f64 = ws.iter().sum();
-    if total <= 0.0 {
-        return Err(StatsError::BadParameter("weighted_mean needs positive total weight"));
-    }
-    Ok(xs.iter().zip(ws).map(|(x, w)| x * w).sum::<f64>() / total)
 }
 
 /// Minimum and maximum in one pass.
@@ -234,14 +217,6 @@ mod tests {
     fn ranks_with_ties() {
         let r = ranks(&[10.0, 20.0, 20.0, 30.0]).unwrap();
         assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn weighted_mean_basics() {
-        let v = weighted_mean(&[1.0, 3.0], &[1.0, 3.0]).unwrap();
-        assert!((v - 2.5).abs() < 1e-12);
-        assert!(weighted_mean(&[1.0], &[0.0]).is_err());
-        assert!(weighted_mean(&[1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper's Table 18.4 reports *one-sided paired t-tests at the 5% level*
 //! comparing the proposed model's AUC against each baseline across runs; this
-//! module provides exactly that test (plus the two-sided and Welch variants
-//! used in ablations).
+//! module provides exactly that test (plus its one-sample form and the other
+//! alternatives).
 
 use crate::descriptive::{mean, std_dev};
 use crate::dist::{ContinuousDist, Sampler, StudentT};
@@ -82,31 +82,6 @@ pub fn one_sample_t_test(xs: &[f64], mu0: f64, alt: Alternative) -> Result<TTest
     })
 }
 
-/// Welch's two-sample t-test (unequal variances).
-pub fn welch_t_test(xs: &[f64], ys: &[f64], alt: Alternative) -> Result<TTestResult> {
-    if xs.len() < 2 || ys.len() < 2 {
-        return Err(StatsError::NotEnoughData("welch t-test needs >= 2 per group"));
-    }
-    let nx = xs.len() as f64;
-    let ny = ys.len() as f64;
-    let mx = mean(xs)?;
-    let my = mean(ys)?;
-    let vx = std_dev(xs)?.powi(2);
-    let vy = std_dev(ys)?.powi(2);
-    let se2 = vx / nx + vy / ny;
-    if se2 == 0.0 {
-        return Err(StatsError::BadParameter("welch t-test on constant samples"));
-    }
-    let t = (mx - my) / se2.sqrt();
-    let df = se2 * se2 / ((vx / nx).powi(2) / (nx - 1.0) + (vy / ny).powi(2) / (ny - 1.0));
-    Ok(TTestResult {
-        t,
-        df,
-        p_value: p_from_t(t, df, alt),
-        mean_diff: mx - my,
-    })
-}
-
 fn p_from_t(t: f64, df: f64, alt: Alternative) -> f64 {
     if t.is_infinite() {
         return match alt {
@@ -133,35 +108,6 @@ fn p_from_t(t: f64, df: f64, alt: Alternative) -> f64 {
         Alternative::Less => dist.cdf(t),
         Alternative::TwoSided => 2.0 * dist.sf(t.abs()),
     }
-}
-
-/// Bootstrap confidence interval for the mean of `xs` at confidence `level`,
-/// using `reps` resamples. Returns `(lo, hi)` percentile bounds.
-pub fn bootstrap_mean_ci<R: rand::Rng + ?Sized>(
-    xs: &[f64],
-    level: f64,
-    reps: usize,
-    rng: &mut R,
-) -> Result<(f64, f64)> {
-    if xs.is_empty() {
-        return Err(StatsError::NotEnoughData("bootstrap of empty slice"));
-    }
-    if !(0.0 < level && level < 1.0) {
-        return Err(StatsError::BadParameter("bootstrap level must be in (0,1)"));
-    }
-    let n = xs.len();
-    let mut means = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let mut acc = 0.0;
-        for _ in 0..n {
-            acc += xs[rng.gen_range(0..n)];
-        }
-        means.push(acc / n as f64);
-    }
-    let alpha = 1.0 - level;
-    let lo = crate::descriptive::quantile(&means, alpha / 2.0)?;
-    let hi = crate::descriptive::quantile(&means, 1.0 - alpha / 2.0)?;
-    Ok((lo, hi))
 }
 
 /// A Kolmogorov–Smirnov-style goodness-of-fit statistic: the sup-distance
@@ -242,16 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn welch_unequal_variances() {
-        let xs = [5.0, 5.1, 4.9, 5.05, 4.95];
-        let ys = [3.0, 1.0, 5.0, 2.0, 4.0, 3.5, 2.5];
-        let r = welch_t_test(&xs, &ys, Alternative::Greater).unwrap();
-        assert!(r.t > 0.0);
-        assert!(r.p_value < 0.05);
-        assert!(r.df > 4.0 && r.df < 12.0);
-    }
-
-    #[test]
     fn degenerate_constant_differences() {
         let xs = [1.0, 1.0, 1.0];
         let ys = [0.5, 0.5, 0.5];
@@ -259,15 +195,6 @@ mod tests {
         assert_eq!(r.p_value, 0.0);
         let r = paired_t_test(&xs, &xs, Alternative::Greater).unwrap();
         assert!(r.p_value > 0.4);
-    }
-
-    #[test]
-    fn bootstrap_ci_covers_mean() {
-        let mut rng = seeded_rng(23);
-        let n = Normal::new(10.0, 2.0).unwrap();
-        let xs = n.sample_n(&mut rng, 200);
-        let (lo, hi) = bootstrap_mean_ci(&xs, 0.95, 500, &mut rng).unwrap();
-        assert!(lo < 10.0 && 10.0 < hi, "CI [{lo}, {hi}]");
     }
 
     #[test]

@@ -292,20 +292,6 @@ fn gamma_cf(a: f64, x: f64) -> f64 {
     (h.ln() + a * x.ln() - x - ln_gamma(a)).exp()
 }
 
-/// Error function, Abramowitz & Stegun 7.1.26-style rational approximation
-/// refined by one step of the incomplete-gamma identity: `erf(x) = P(1/2, x²)`.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let v = gammainc_lower_reg(0.5, x * x);
-    if x > 0.0 {
-        v
-    } else {
-        -v
-    }
-}
-
 /// Complementary error function `erfc(x) = 1 − erf(x)`, computed to preserve
 /// accuracy in the tail.
 pub fn erfc(x: f64) -> f64 {
@@ -385,7 +371,7 @@ pub fn std_normal_quantile(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
-/// Size of the memoised integer tables below. Counts in the Bernoulli /
+/// Size of the memoised integer table below. Counts in the Bernoulli /
 /// beta-process likelihoods are failure-years and exposure-years, which stay
 /// far below this in any realistic window; larger arguments fall back to the
 /// direct evaluation.
@@ -396,11 +382,6 @@ fn ln_gamma_int_table() -> &'static [f64] {
     // Entries are computed by the same `ln_gamma` the fallback uses, so the
     // memoised path is byte-identical to the direct one.
     TABLE.get_or_init(|| (0..INT_TABLE_LEN).map(|n| ln_gamma(n as f64)).collect())
-}
-
-fn ln_int_table() -> &'static [f64] {
-    static TABLE: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| (0..INT_TABLE_LEN).map(|n| (n as f64).ln()).collect())
 }
 
 /// Memoised `ln Γ(n)` for integer `n` — the arguments that dominate the
@@ -415,22 +396,6 @@ pub fn ln_gamma_int(n: u64) -> f64 {
 /// Memoised `ln n!` = `ln Γ(n + 1)`.
 pub fn ln_factorial(n: u64) -> f64 {
     ln_gamma_int(n + 1)
-}
-
-/// Memoised `ln n` for integer `n`; `ln_int(0)` is `−∞`.
-pub fn ln_int(n: u64) -> f64 {
-    match ln_int_table().get(n as usize) {
-        Some(&v) => v,
-        None => (n as f64).ln(),
-    }
-}
-
-/// `ln(n choose k)` via log-gamma; exact enough for likelihood arithmetic.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
 /// Numerically stable `ln(exp(a) + exp(b))`.
@@ -629,14 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn erf_reference_values() {
-        assert_close(erf(1.0), 0.842_700_792_949_714_9, 1e-11);
-        assert_close(erf(2.0), 0.995_322_265_018_952_7, 1e-11);
-        assert_close(erf(-1.0), -0.842_700_792_949_714_9, 1e-11);
-        assert_eq!(erf(0.0), 0.0);
-    }
-
-    #[test]
     fn normal_cdf_and_quantile_roundtrip() {
         assert_close(std_normal_cdf(0.0), 0.5, 1e-14);
         assert_close(std_normal_cdf(1.959_963_984_540_054), 0.975, 1e-10);
@@ -656,25 +613,13 @@ mod tests {
                 "ln_gamma_int({n})"
             );
             assert!(
-                ln_int(n).to_bits() == (n as f64).ln().to_bits(),
-                "ln_int({n})"
-            );
-            assert!(
                 ln_factorial(n).to_bits() == ln_gamma(n as f64 + 1.0).to_bits(),
                 "ln_factorial({n})"
             );
         }
         assert_eq!(ln_gamma_int(0), f64::INFINITY);
-        assert_eq!(ln_int(0), f64::NEG_INFINITY);
         // Lanczos ln Γ(1) is ~−9e−16, not exactly 0; the table reproduces it.
         assert!(ln_factorial(0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn ln_choose_pascal() {
-        assert_close(ln_choose(5, 2), 10.0_f64.ln(), 1e-12);
-        assert_close(ln_choose(52, 5), 2_598_960.0_f64.ln(), 1e-11);
-        assert_eq!(ln_choose(3, 9), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -83,11 +83,13 @@ fn main() {
     println!("snapshot: {} bytes -> {}", snap.to_bytes_v2().len(), path.display());
 
     // 3. Serve: load the snapshot into a scorer, bind an ephemeral port,
-    //    and arm the hot-reload watcher on the snapshot file.
+    //    and arm the hot-reload watcher on the file the scorer came from.
     let scorer = Scorer::load(&path).expect("load snapshot");
     let ctx = Arc::new(ServeContext::new(scorer).with_dataset(region.clone()));
-    let config = ServerConfig::default().with_snapshot_path(&path);
-    let config = ServerConfig { reload_poll_secs: 0.1, ..config };
+    let config = ServerConfig {
+        reload_poll_secs: 0.1,
+        ..ServerConfig::default()
+    };
     let handle = pipefail::serve::serve(ctx, &config).expect("start server");
     let addr = handle.addr();
     println!("serving on http://{addr} (hot-reload polling every {}s)", config.reload_poll_secs);
